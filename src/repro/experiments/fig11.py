@@ -23,20 +23,13 @@ shape is preserved exactly.
 
 Execution note: every (footprint, chunk, channel) leg runs on its own
 freshly built host, so legs share no simulator state and their
-simulated results are independent of execution order.  The sweep
-exploits that: legs are dispatched to a fork-based process pool
-(one worker per CPU by default) and reassembled in sweep order, so the
-report is bit-identical to a serial run while the wall-clock cost is
-``max(slowest leg, total/ncpu)``.  The pool is skipped — falling back
-to the equally-deterministic serial loop — when only one worker is
-available, when ``REPRO_FIG11_WORKERS=1``, or when a fault plan is
-active (``REPRO_FAULT_PLAN``): the chaos/difffuzz harnesses reason
-about machines built in *their* process.
+simulated results are independent of execution order.  The legs run
+serially in this process: parallelism belongs to the runner
+(``python -m repro.runner -j N``), whose workers are daemonic and may
+not spawn processes of their own.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.apps.ports.fastcomm import (GcmChannelDeployment,
                                        NestedChannelDeployment)
@@ -49,11 +42,10 @@ CHUNKS = (64, 256, 1024, 8192, 65536)
 FOOTPRINT_RATIOS = (0.125, 1.0, 8.0)
 
 
-def _leg_ns(task: tuple) -> float:
+def _leg_ns(kind: str, footprint: int, chunk: int, total: int,
+            llc_bytes: int) -> float:
     """Run one (channel kind, footprint, chunk, total, llc) leg on a
-    fresh host and return the simulated ns it took.  Module-level and
-    tuple-driven so a process pool can ship it to workers."""
-    kind, footprint, chunk, total, llc_bytes = task
+    fresh host and return the simulated ns it took."""
     host = nested_host(llc_bytes=llc_bytes)
     if kind == "mee":
         dep = NestedChannelDeployment(host, footprint_bytes=footprint)
@@ -62,67 +54,28 @@ def _leg_ns(task: tuple) -> float:
     return dep.transfer(chunk, total)
 
 
-def _leg_times(tasks: list[tuple], workers: int | None) -> list[float]:
-    """Simulated ns per task, in task order.
-
-    Big legs are handed out first (fewest-messages-last) so the pool's
-    makespan approaches the optimum; results are reordered back, so the
-    caller never observes the scheduling.
-    """
-    if workers is None:
-        env = os.environ.get("REPRO_FIG11_WORKERS")
-        workers = int(env) if env else (os.cpu_count() or 1)
-    workers = min(workers, len(tasks))
-    if workers <= 1 or os.environ.get("REPRO_FAULT_PLAN"):
-        return [_leg_ns(task) for task in tasks]
-    import multiprocessing as mp
-    methods = mp.get_all_start_methods()
-    ctx = mp.get_context("fork" if "fork" in methods else methods[0])
-    # Cost heuristic: per-message Python dominates, and MEE legs move
-    # every byte through the validated core path while GCM legs only
-    # charge models.
-    order = sorted(range(len(tasks)),
-                   key=lambda i: ((tasks[i][3] // tasks[i][2])
-                                  * (8 if tasks[i][0] == "mee" else 1)),
-                   reverse=True)
-    with ctx.Pool(workers) as pool:
-        timed = pool.map(_leg_ns, [tasks[i] for i in order], chunksize=1)
-    out = [0.0] * len(tasks)
-    for rank, i in enumerate(order):
-        out[i] = timed[rank]
-    return out
-
-
 def run_fig11(chunks=CHUNKS, footprint_ratios=FOOTPRINT_RATIOS,
-              llc_bytes: int = LLC_BYTES,
-              workers: int | None = None) -> ExperimentResult:
+              llc_bytes: int = LLC_BYTES) -> ExperimentResult:
     result = ExperimentResult(
         "Figure 11",
         "Intra-enclave (MEE) vs enclave-to-enclave AES-GCM channel "
         "throughput",
         ("Footprint", "Chunk", "MEE (MB/s)", "GCM (MB/s)", "Speedup"))
-    cells = []
-    tasks = []
     for ratio in footprint_ratios:
         footprint = int(llc_bytes * ratio)
         total = max(2 * footprint, 128 << 10)
         label = f"{ratio:g}x LLC ({footprint >> 10} KiB)"
-        for chunk in chunks:
-            if chunk > footprint // 4:
-                continue
-            cells.append((label, chunk, total))
-            tasks.append(("mee", footprint, chunk, total, llc_bytes))
-            tasks.append(("gcm", footprint, chunk, total, llc_bytes))
-    times = _leg_times(tasks, workers)
-    for index, (label, chunk, total) in enumerate(cells):
-        mee_ns = times[2 * index]
-        gcm_ns = times[2 * index + 1]
 
         def to_mbps(ns: float) -> float:
             return (total / (1 << 20)) / (ns / 1e9)
 
-        result.add(label, chunk, to_mbps(mee_ns), to_mbps(gcm_ns),
-                   gcm_ns / mee_ns)
+        for chunk in chunks:
+            if chunk > footprint // 4:
+                continue
+            mee_ns = _leg_ns("mee", footprint, chunk, total, llc_bytes)
+            gcm_ns = _leg_ns("gcm", footprint, chunk, total, llc_bytes)
+            result.add(label, chunk, to_mbps(mee_ns), to_mbps(gcm_ns),
+                       gcm_ns / mee_ns)
     speedups = [row[4] for row in result.rows]
     result.metric("max_speedup", max(speedups))
     result.metric("min_speedup", min(speedups))

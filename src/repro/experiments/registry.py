@@ -55,9 +55,11 @@ class ExperimentSpec:
     ``budget_s``/``full_budget_s`` are *host* wall-clock budgets for the
     quick/full variants — generous multiples of the measured cost on the
     reference box, meant to catch hangs and pathological regressions,
-    not to be tight performance gates.  ``cost_hint`` is the relative
-    expected quick-variant host cost; the runner schedules
-    longest-first so one slow experiment never serializes the tail.
+    not to be tight performance gates.  ``cost_hint`` is the expected
+    quick-variant host cost in seconds, from a serial ``python -m
+    repro.runner -j 1 --timings`` run (2-core x86_64, Python 3.11.7);
+    the runner schedules longest-first so one slow experiment never
+    serializes the tail.
     """
 
     name: str
@@ -89,21 +91,21 @@ def _specs_paper() -> list[ExperimentSpec]:
             quick=lambda: exp.run_table6(operations=500, records=200),
             full=lambda: exp.run_table6(operations=10_000,
                                         records=1000),
-            budget_s=600, full_budget_s=14_400, cost_hint=90),
+            budget_s=120, full_budget_s=1200, cost_hint=4),
         ExperimentSpec(
             "table7", exp.run_table7, exp.run_table7,
-            budget_s=120, full_budget_s=120, cost_hint=1.5),
+            budget_s=120, full_budget_s=120, cost_hint=0.4),
         ExperimentSpec(
             "fig7",
             quick=lambda: exp.run_fig7(chunk_sizes=(128, 2048, 16384),
                                        total_bytes=64 << 10),
             full=lambda: exp.run_fig7(total_bytes=1 << 20),
-            budget_s=400, full_budget_s=10_800, cost_hint=55),
+            budget_s=120, full_budget_s=1200, cost_hint=2),
         ExperimentSpec(
             "fig9",
             quick=lambda: exp.run_fig9(scales=FIG9_QUICK_SCALES),
             full=exp.run_fig9,
-            budget_s=600, full_budget_s=3600, cost_hint=110),
+            budget_s=120, full_budget_s=300, cost_hint=5),
         ExperimentSpec(
             "fig10",
             quick=lambda: exp.run_fig10(n=20, outer_sweep=(1, 4, 20),
@@ -112,27 +114,27 @@ def _specs_paper() -> list[ExperimentSpec]:
                                        outer_sweep=(1, 5, 50, 100,
                                                     500),
                                        page_scale=0.02),
-            budget_s=120, full_budget_s=3600, cost_hint=5),
+            budget_s=120, full_budget_s=3600, cost_hint=3),
         ExperimentSpec(
             "fig11",
             quick=lambda: exp.run_fig11(chunks=(64, 1024, 8192)),
             full=exp.run_fig11,
-            budget_s=120, full_budget_s=600, cost_hint=6),
+            budget_s=120, full_budget_s=600, cost_hint=5),
         ExperimentSpec(
             "host-serving",
             quick=lambda: host_exp.run_host_serving(1000),
             full=lambda: host_exp.run_host_serving(100_000),
-            budget_s=120, full_budget_s=900, cost_hint=1),
+            budget_s=120, full_budget_s=900, cost_hint=0.4),
         ExperimentSpec(
             "host-overload",
             quick=lambda: host_exp.run_host_overload(1000),
             full=lambda: host_exp.run_host_overload(100_000),
-            budget_s=60, full_budget_s=400, cost_hint=0.3),
+            budget_s=60, full_budget_s=400, cost_hint=0.2),
         ExperimentSpec(
             "host-failover",
             quick=lambda: host_exp.run_host_failover(1000),
             full=lambda: host_exp.run_host_failover(100_000),
-            budget_s=60, full_budget_s=600, cost_hint=0.3),
+            budget_s=60, full_budget_s=600, cost_hint=0.1),
         ExperimentSpec(
             "ablation-d1", exp.run_d1_validation_cost,
             exp.run_d1_validation_cost,
@@ -143,7 +145,7 @@ def _specs_paper() -> list[ExperimentSpec]:
         ExperimentSpec(
             "ablation-d3", exp.run_d3_flush_sensitivity,
             exp.run_d3_flush_sensitivity,
-            budget_s=400, full_budget_s=400, cost_hint=50),
+            budget_s=120, full_budget_s=120, cost_hint=2),
         ExperimentSpec(
             "ablation-d4", exp.run_d4_depth, exp.run_d4_depth,
             budget_s=60, full_budget_s=60, cost_hint=0.1),

@@ -1,10 +1,13 @@
 """AES block cipher tests against FIPS-197 vectors and round-trip laws."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.crypto.aes import Aes, SBOX, INV_SBOX
 from repro.errors import CryptoError
+from tests.crypto.reference_aes import ReferenceAes
 
 
 class TestFips197Vectors:
@@ -67,6 +70,36 @@ class TestRoundTrip:
         a = Aes(bytes(16)).encrypt_block(block)
         b = Aes(bytes([1] * 16)).encrypt_block(block)
         assert a != b
+
+
+class TestDifferentialOracle:
+    """The T-table cipher against the textbook round functions."""
+
+    KEYS_PER_SIZE = 10
+    BLOCKS_PER_KEY = 70  # 3 sizes x 10 keys x 70 = 2100 blocks
+
+    @pytest.mark.parametrize("key_len", [16, 24, 32])
+    def test_matches_textbook_aes(self, key_len):
+        rng = random.Random(f"aes-oracle-{key_len}")
+        for _ in range(self.KEYS_PER_SIZE):
+            key = rng.randbytes(key_len)
+            fast, reference = Aes(key), ReferenceAes(key)
+            for _ in range(self.BLOCKS_PER_KEY):
+                block = rng.randbytes(16)
+                assert fast.encrypt_block(block) == \
+                    reference.encrypt_block(block), (key.hex(), block.hex())
+                assert fast.decrypt_block(block) == \
+                    reference.decrypt_block(block), (key.hex(), block.hex())
+
+    def test_edge_blocks_all_key_sizes(self):
+        for key_len in (16, 24, 32):
+            for key in (bytes(key_len), b"\xff" * key_len):
+                fast, reference = Aes(key), ReferenceAes(key)
+                for block in (bytes(16), b"\xff" * 16, bytes(range(16))):
+                    assert fast.encrypt_block(block) == \
+                        reference.encrypt_block(block)
+                    assert fast.decrypt_block(block) == \
+                        reference.decrypt_block(block)
 
 
 class TestErrors:

@@ -1,9 +1,12 @@
 """AES-GCM tests against NIST SP 800-38D vectors and AEAD laws."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.gcm import AesGcm, _gf_mult
+from repro.crypto import gcm as gcm_module
+from repro.crypto.gcm import AesGcm, Ghash, _gf_mult, _ghash_simple
 from repro.errors import CryptoError
 
 
@@ -103,3 +106,77 @@ class TestGf128:
 
     def test_mult_zero_annihilates(self):
         assert _gf_mult(0, 0xFFFF) == 0
+
+
+class TestWindowedGhash:
+    def test_matches_bit_at_a_time_reference(self):
+        rng = random.Random("ghash-windowed")
+        for length in (0, 1, 15, 16, 17, 48, 100):
+            h, data = rng.randbytes(16), rng.randbytes(length)
+            assert Ghash(h).oneshot(data) == _ghash_simple(h, data)
+
+    def test_incremental_matches_oneshot(self):
+        rng = random.Random("ghash-incremental")
+        h, data = rng.randbytes(16), rng.randbytes(64)
+        ghash = Ghash(h)
+        for off in range(0, len(data), 16):
+            ghash.update_block(data[off:off + 16])
+        assert ghash.digest() == \
+            Ghash(h).oneshot(data).to_bytes(16, "big")
+
+
+@pytest.fixture
+def empty_key_cache():
+    gcm_module._key_cache.clear()
+    yield gcm_module._key_cache
+    gcm_module._key_cache.clear()
+
+
+class TestKeyStateCache:
+    """Per-key derived state is shared; per-message state is not."""
+
+    KEY = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
+
+    def test_interleaved_instances_match_fresh_ones(self, empty_key_cache):
+        # Odd nonce lengths run GHASH for J0 as well as for the tag.
+        messages = [(bytes([i + 1]) * (8, 12, 16)[i % 3], b"m" * (7 * i),
+                     bytes([i]) * i) for i in range(6)]
+        pair = (AesGcm(self.KEY), AesGcm(self.KEY))
+        interleaved = [pair[i % 2].seal(*message)
+                       for i, message in enumerate(messages)]
+        fresh = []
+        for message in messages:
+            empty_key_cache.clear()
+            fresh.append(AesGcm(self.KEY).seal(*message))
+        assert interleaved == fresh
+        for i, (nonce, plaintext, aad) in enumerate(messages):
+            assert pair[1 - i % 2].open(nonce, interleaved[i], aad) == \
+                plaintext
+
+    def test_forged_tag_on_cached_key_raises(self, empty_key_cache):
+        AesGcm(self.KEY)
+        assert self.KEY in empty_key_cache
+        gcm = AesGcm(self.KEY)
+        sealed = bytearray(gcm.seal(bytes(12), b"attack at dawn"))
+        sealed[-1] ^= 1
+        with pytest.raises(CryptoError):
+            AesGcm(self.KEY).open(bytes(12), bytes(sealed))
+
+    def test_bad_key_length_raises_and_is_not_cached(self,
+                                                     empty_key_cache):
+        for bad in (bytes(15), bytes(17), b""):
+            with pytest.raises(CryptoError):
+                AesGcm(bad)
+        assert empty_key_cache == {}
+
+    def test_cache_stays_at_its_bound(self, empty_key_cache):
+        bound = gcm_module._KEY_CACHE_SIZE
+        keys = [i.to_bytes(16, "big") for i in range(bound + 5)]
+        for key in keys:
+            AesGcm(key)
+        assert len(empty_key_cache) == bound
+        # Least recently used out first.
+        assert list(empty_key_cache) == keys[-bound:]
+        assert AesGcm(keys[0]).seal(bytes(12), b"p") == \
+            AesGcm(keys[0]).seal(bytes(12), b"p")
+        assert len(empty_key_cache) == bound
