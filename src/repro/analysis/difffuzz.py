@@ -1,19 +1,19 @@
 """Differential schedule fuzzer: fast paths vs. the reference replay.
 
-The PR-2 memory-system fast paths (aggregated cost charging, the
-per-core translation micro-cache, dict-backed LLC sets) claim to be
-observably identical to the slow reference implementation.  The golden
+The memory-system fast paths (aggregated cost charging, the per-core
+TLB fast path that serves hits from the access plan each TLB entry
+records, dict-backed LLC sets) claim to be observably identical to the slow reference implementation.  The golden
 fingerprints pin that claim for *fixed* workloads; this fuzzer attacks
 it with *random* ones: each seeded :class:`Schedule` drives the shared
 ``nested_pair`` enclave constellation (outer + associated inner)
 through a random sequence of heap pokes/peeks, nested call storms,
 AEX/ERESUME interruptions, EPC evict/reload round trips, and
 contiguous multi-page read/write bursts straddling TLB flush /
-shootdown boundaries (``bulk_storm``, stressing the access-plan
-compiler's invalidation) — twice.
+shootdown boundaries (``bulk_storm``, stressing TLB invalidation under
+fused page runs) — twice.
 The fast run uses the production configuration; the reference run sets
-``MachineConfig.reference_paths`` so every access takes the slow
-per-line path with the micro-cache disabled.  Three oracles compare the
+``MachineConfig.reference_paths`` so no TLB entry is served directly and
+every access takes the per-page ``_translate`` + per-line memside path.  Three oracles compare the
 two:
 
 ``DIFF001``
@@ -71,8 +71,7 @@ FINDING_PATH = "repro/perf/fingerprint.py"
 #: drives the driver's EWB/ELDB round trip over heap pages;
 #: ``bulk_storm`` issues contiguous multi-page read/write bursts over
 #: an untrusted buffer, interleaved with a full IPI shootdown and a
-#: local TLB flush, so every burst crosses a plan-cache invalidation
-#: boundary.
+#: local TLB flush, so every burst crosses a TLB invalidation boundary.
 OP_KINDS = ("poke", "peek", "storm", "interrupted", "evict_reload",
             "bulk_storm")
 
@@ -176,8 +175,8 @@ def run_schedule(schedule: Schedule, *,
         if kind == "bulk_storm":
             # Contiguous multi-page bursts across invalidation
             # boundaries: write the whole span in one access, broadcast
-            # an IPI shootdown (killing every compiled plan and TLB
-            # entry), read it back, flush the local TLB, read again.
+            # an IPI shootdown (dropping every TLB entry, hence every
+            # access plan), read it back, flush the local TLB, read again.
             # The checksum pins the bytes; the machine fingerprint pins
             # the charging of every burst.
             pages, pattern_seed = args

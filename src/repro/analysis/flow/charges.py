@@ -2,12 +2,12 @@
 
 Property: every *successful* (non-raising) path from a declared entry
 point (``FlowConfig.charge_entry_points``: the Core read/write leaves,
-``_plan_run``, the memside accessors and the flush broadcasts) to a
-return passes through at least one clock-advancing charge seam.  The
-access-plan compiler (PR 7) fused what used to be per-access charges
-into one ``charge_run`` per serve — golden fingerprints catch a missed
-charge only if a workload happens to cover that path; this check proves
-it per path, statically.
+whose fast-path helpers are covered through their callee summaries, the
+memside accessors and the flush broadcasts) to a return passes through
+at least one clock-advancing charge seam.  The TLB fast path fuses what
+used to be per-access charges into one ``charge_run`` per serve —
+golden fingerprints catch a missed charge only if a workload happens to
+cover that path; this check proves it per path, statically.
 
 A *charge seam* is recognised syntactically — no resolution needed for
 the canonical spellings:

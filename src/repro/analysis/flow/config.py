@@ -23,12 +23,14 @@ class FlowConfig:
     #: ``module:qualname`` functions on the memory-touch boundary: every
     #: successful (non-raising) path through one of these must pass at
     #: least one CostModel/clock charge seam, directly or via a callee
-    #: that provably always charges.
+    #: that provably always charges.  ``Core.read``/``Core.write`` cover
+    #: their fast-path helpers (``_serve``, ``_span``, ``_reference_span``)
+    #: through the callee summaries: a helper with an uncharged path
+    #: leaves its caller with one.
     charge_entry_points: tuple = (
         "repro.sgx.cpu:Core.read",
         "repro.sgx.cpu:Core.write",
         "repro.sgx.cpu:Core._translate",
-        "repro.sgx.cpu:Core._plan_run",
         "repro.sgx.cpu:Core.flush_tlb",
         "repro.sgx.machine:Machine.memside_read",
         "repro.sgx.machine:Machine.memside_write",

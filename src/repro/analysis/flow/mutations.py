@@ -41,13 +41,14 @@ MUTATIONS: tuple = (
         name="drop-plan-run-charge",
         path="src/repro/sgx/cpu.py",
         expected_rule="FLOW002",
-        description="delete the fused charge_run cost seam on the "
-                    "access-plan serve path",
-        before=("        machine.counters.charge_run("
-                "npages, hits, misses, dec, enc)\n"
-                "        self._cost.charge_run(npages, hits, misses, mee)\n"),
-        after=("        machine.counters.charge_run("
-               "npages, hits, misses, dec, enc)\n")),
+        description="delete the fused charge_run cost seam on the TLB "
+                    "fast path's multi-page runs",
+        before=("            self._counters.charge_run("
+                "len(run), hits, misses, 0, mee)\n"
+                "        self._cost.charge_run("
+                "len(run), hits, misses, mee)\n"),
+        after=("            self._counters.charge_run("
+               "len(run), hits, misses, 0, mee)\n")),
     FlowMutation(
         name="drop-memside-read-charge",
         path="src/repro/sgx/machine.py",

@@ -51,8 +51,7 @@ def run_mutation_kill(scope: str = "tiny",
                             validator_cls=mutation.validator_cls)
         if mutation.apply is not None:
             mutation.apply(world)
-        result = explore(world, stop_on_violation=True,
-                         key_fn=mutation.key_fn)
+        result = explore(world, stop_on_violation=True)
         rules = tuple(sorted({f.rule for f in result.findings}))
         outcomes.append(MutationOutcome(
             mutation=name, expected_rule=mutation.expected_rule,

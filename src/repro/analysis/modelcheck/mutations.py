@@ -1,18 +1,19 @@
 """Named single-edit weakenings (the mutation kill-list).
 
 Most mutations are subclasses of the real :class:`NestedValidator`
-overriding exactly one check; ``plan-cache-skips-validation`` instead
-weakens the *memory fast path* (a TLB whose content epoch never moves,
-so the per-core access-plan cache survives every invalidation event).
-``--mutate`` builds a world with the mutant installed and requires the
-explorer to kill it with a minimized counterexample of the expected
-rule.  A surviving mutant means the checker lost discrimination — the
-self-validation the paper-style security argument needs before trusting
-"zero findings".
+overriding exactly one check; ``stale-tlb`` instead weakens the *memory
+fast path*: each TLB entry is its page's access plan, so a TLB whose
+flushes and shootdowns keep their entries serves translations validated
+under a dead context.  ``--mutate`` builds a world with the mutant
+installed and requires the explorer to kill it with a minimized
+counterexample of the expected rule.  A surviving mutant means the
+checker lost discrimination — the self-validation the paper-style
+security argument needs before trusting "zero findings".
 
-``MC001`` (the bare-state invariant audit) is deliberately not mapped to
-a mutation: it fires on corrupted *reachable* state rather than on a
-weakened check, and every transition here goes through the real ISA.
+Every validator mutant is killed by a probe (``MC002``–``MC004``).  The
+stale-TLB mutant is killed by ``MC001``, the bare-state invariant audit:
+probes empty the TLB before they attempt an access, so a stale entry is
+visible only as reachable state that breaks a §VII-A invariant.
 """
 
 from __future__ import annotations
@@ -75,43 +76,26 @@ class AcceptUnrelatedOwner(NestedValidator):
         return decision
 
 
-class FrozenPlanEpochTlb(Tlb):
-    """The plan-cache invalidation bug under test (ISSUE 7): every
-    content-changing operation — insert, flush, invalidate_pfn, restore
-    — performs its real state change but *forgets to move*
-    ``content_gen``.  A core's compiled access plan therefore stays
-    "live" across transition flushes and shootdowns and keeps serving
-    translations that were validated under a dead context, without ever
-    re-running the Fig. 6 automaton."""
-
-    def insert(self, entry) -> None:
-        gen = self.content_gen
-        super().insert(entry)
-        self.content_gen = gen
+class StaleTlb(Tlb):
+    """The TLB invalidation bug under test: ``flush`` and
+    ``invalidate_pfn`` count the event but *keep every entry*.  Each TLB
+    entry is its page's access plan, so a translation validated under a
+    dead context keeps being served across transition flushes and
+    shootdowns without ever re-running the Fig. 6 automaton."""
 
     def flush(self) -> None:
-        gen = self.content_gen
-        super().flush()
-        self.content_gen = gen
+        self.flush_count += 1
 
     def invalidate_pfn(self, pfn: int) -> int:
-        gen = self.content_gen
-        dropped = super().invalidate_pfn(pfn)
-        self.content_gen = gen
-        return dropped
-
-    def restore(self, snapshot: tuple) -> None:
-        gen = self.content_gen
-        super().restore(snapshot)
-        self.content_gen = gen
+        return 0
 
 
-def _install_frozen_plan_epoch(world) -> None:
-    """Swap every core's (empty, post-build) TLB for the frozen-epoch
-    mutant.  ``build_world`` ends with a flush of all TLBs, so no
-    contents need carrying over."""
+def _install_stale_tlb(world) -> None:
+    """Swap every core's (empty, post-build) TLB for the stale mutant.
+    ``build_world`` ends with a flush of all TLBs, so no contents need
+    carrying over."""
     for core in world.machine.cores:
-        core.tlb = FrozenPlanEpochTlb(core.tlb.capacity)
+        core.tlb = StaleTlb(core.tlb.capacity)
 
 
 @dataclass(frozen=True)
@@ -122,14 +106,6 @@ class Mutation:
     description: str
     #: Optional post-build hook installing non-validator mutants.
     apply: Optional[Callable] = None
-    #: Optional canonical-key override for exploring the mutant world
-    #: (see state.canonical_key_with_plans).
-    key_fn: Optional[Callable] = None
-
-
-def _plan_key_fn(world):
-    from repro.analysis.modelcheck.state import canonical_key_with_plans
-    return canonical_key_with_plans(world)
 
 
 MUTATIONS = {
@@ -145,13 +121,9 @@ MUTATIONS = {
     "accept-unrelated-owner": Mutation(
         "accept-unrelated-owner", AcceptUnrelatedOwner, "MC002",
         "accept EPC pages owned by unrelated enclaves"),
-    # Rule MC003: the first witness BFS reaches is a compiled plan
-    # serving a shadowed outer page straight past the re-pointed page
-    # table (no validator run, so no #PF) — the same stale-plan bug
-    # also yields MC002s at deeper states.
-    "plan-cache-skips-validation": Mutation(
-        "plan-cache-skips-validation", NestedValidator, "MC003",
-        "freeze the TLB content epoch so compiled access plans survive "
-        "every invalidation event and serve stale translations",
-        apply=_install_frozen_plan_epoch, key_fn=_plan_key_fn),
+    "stale-tlb": Mutation(
+        "stale-tlb", NestedValidator, "MC001",
+        "TLB flushes and shootdowns keep their entries, so validated "
+        "translations outlive the context they were validated under",
+        apply=_install_stale_tlb),
 }

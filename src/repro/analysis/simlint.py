@@ -53,11 +53,11 @@ both properties checkable per commit:
     No direct per-access validator calls (``*.validator.validate(…)``)
     outside the allowlisted translation leaves
     (:data:`DEFAULT_CONFIG` ``.sim008_allowed``, ``module:function``
-    granularity — by default only ``repro.sgx.cpu:_translate``).  The
-    access-plan compiler (ISSUE 7) batches validation per page-run; a
-    bulk fast path that re-runs the validator per access silently
-    reverts the optimisation, and one that calls it from a *new* leaf
-    sidesteps the plan cache's invalidation discipline.
+    granularity — by default only ``repro.sgx.cpu:_translate``).
+    Validation runs once, at TLB fill, and the filled entry is the
+    page's access plan; a fast path that re-runs the validator per
+    access silently reverts that, and one that calls it from a *new*
+    leaf produces verdicts no TLB flush can revoke.
 
 Any finding can be silenced on its line with ``# simlint:
 disable=SIM00X`` (comma-separate several IDs; ``disable=all`` kills
@@ -118,9 +118,9 @@ class SimlintConfig:
         "repro.sgx.machine",    # CPU-side LLC+MEE accessors
         "repro.sgx.isa",        # microcode leaves (below the automaton)
         "repro.sgx.eviction",   # EWB/ELDB page movers
-        # The core's plan-serve fast paths move bytes for translations
-        # the automaton already validated (plan ⊆ TLB, ISSUE 7); SIM008
-        # polices that those paths never *re-enter* the validator.
+        # The core's TLB fast path moves bytes for translations the
+        # automaton already validated (the TLB entry is the access
+        # plan); SIM008 polices that it never *re-enters* the validator.
         "repro.sgx.cpu",
     })
     sim002_allowed: frozenset[str] = frozenset({
@@ -147,8 +147,8 @@ class SimlintConfig:
         "repro.analysis.modelcheck.state",
     })
     #: ``module:function`` pairs that may call ``*.validator.validate``
-    #: directly (SIM008).  Exactly one leaf validates per-access; bulk
-    #: fast paths must reuse its TLB fills via the access plan.
+    #: directly (SIM008).  Exactly one leaf validates per-access; fast
+    #: paths must reuse the verdicts its TLB fills record.
     sim008_allowed: frozenset[str] = frozenset({
         "repro.sgx.cpu:_translate",
     })
@@ -243,8 +243,8 @@ class _SimlintVisitor(ast.NodeVisitor):
             return
         self._flag(node, "SIM008",
                    "direct per-access '.validator.validate' call outside "
-                   "the allowlisted translation leaves; bulk fast paths "
-                   "must reuse plan-compiled validations (ISSUE 7)",
+                   "the allowlisted translation leaves; fast paths must "
+                   "reuse the validation recorded at TLB fill",
                    symbol=f"{where}:validator.validate")
 
     # -- SIM002 / SIM003 (call-shaped rules) --------------------------------

@@ -49,23 +49,6 @@ class SharedRing:
         core.write_u64(self.base + _CAP_OFF, self.capacity)
 
     # -- internals ----------------------------------------------------------
-    def _load(self, core: Core) -> tuple[int, int]:
-        # head and tail share the ring's header cacheline; load both with
-        # one 16-byte access instead of two u64 reads.
-        raw = core.read(self.base + _HEAD_OFF, 16)
-        return (int.from_bytes(raw[:8], "little"),
-                int.from_bytes(raw[8:], "little"))
-
-    def _used(self, head: int, tail: int) -> int:
-        return tail - head
-
-    def _write_wrapped(self, core: Core, pos: int, data: bytes) -> None:
-        off = pos % self.capacity
-        first = min(len(data), self.capacity - off)
-        core.write(self.base + _DATA_OFF + off, data[:first])
-        if first < len(data):
-            core.write(self.base + _DATA_OFF, data[first:])
-
     def _read_wrapped(self, core: Core, pos: int, size: int) -> bytes:
         off = pos % self.capacity
         first = min(size, self.capacity - off)
@@ -78,11 +61,11 @@ class SharedRing:
     def try_send(self, core: Core, message: bytes) -> bool:
         """Append one framed message; False if the ring lacks space.
 
-        The body inlines :meth:`_load` and :meth:`_write_wrapped` — the
-        Fig. 11 sweep sends hundreds of thousands of messages through
-        here, and the hoisted method dispatch is pure overhead.  The
-        access sequence is exactly the helpers': one 16-byte header
-        read, the (possibly wrap-split) frame write, one tail update.
+        The Fig. 11 sweep sends hundreds of thousands of messages
+        through here, so the body is inlined.  The access sequence is
+        one 16-byte header read (head and tail share the header
+        cacheline), the (possibly wrap-split) frame write, and one tail
+        update.
         """
         mlen = len(message)
         need = _FRAME_HDR + mlen
@@ -113,99 +96,16 @@ class SharedRing:
         if not self.try_send(core, message):
             raise ChannelError("ring full")
 
-    def send_burst(self, core: Core, message: bytes, total: int) -> int:
-        """Send copies of ``message`` until ``total`` payload bytes have
-        been queued or the ring fills; returns bytes queued.
-
-        Per-message behaviour — the accesses issued, their order, sizes,
-        and addresses — is identical to calling :meth:`try_send` in a
-        loop; the point of the method is hoisting the per-message Python
-        scaffolding (method dispatch, frame building, wrap math) out of
-        the Fig. 11 hot loop.
-        """
-        mlen = len(message)
-        need = _FRAME_HDR + mlen
-        if need > self.capacity:
-            raise ChannelError(
-                f"message of {mlen} bytes exceeds ring capacity")
-        frame = mlen.to_bytes(_FRAME_HDR, "little") + message
-        base = self.base
-        cap = self.capacity
-        data_base = base + _DATA_OFF
-        tail_addr = base + _TAIL_OFF
-        read = core.read
-        write = core.write
-        write_u64 = core.write_u64
-        from_bytes = int.from_bytes
-        sent = 0
-        while sent < total:
-            raw = read(base, 16)
-            head = from_bytes(raw[:8], "little")
-            tail = from_bytes(raw[8:], "little")
-            if tail - head + need > cap:
-                break
-            off = tail % cap
-            first = cap - off
-            if need <= first:
-                write(data_base + off, frame)
-            else:
-                write(data_base + off, frame[:first])
-                write(data_base, frame[first:])
-            write_u64(tail_addr, tail + need)
-            sent += mlen
-        return sent
-
-    def recv_burst(self, core: Core, total: int) -> int:
-        """Pop messages until ``total`` payload bytes have been drained
-        or the ring empties; returns bytes drained.
-
-        Access-sequence-identical to a :meth:`try_recv` loop (see
-        :meth:`send_burst`); payload bytes are read and discarded.
-        """
-        base = self.base
-        cap = self.capacity
-        data_base = base + _DATA_OFF
-        read = core.read
-        write_u64 = core.write_u64
-        from_bytes = int.from_bytes
-        received = 0
-        while received < total:
-            raw = read(base, 16)
-            head = from_bytes(raw[:8], "little")
-            tail = from_bytes(raw[8:], "little")
-            used = tail - head
-            if used == 0:
-                break
-            off = head % cap
-            first = cap - off
-            if first >= _FRAME_HDR:
-                hdr = read(data_base + off, _FRAME_HDR)
-            else:
-                hdr = (read(data_base + off, first)
-                       + read(data_base, _FRAME_HDR - first))
-            length = from_bytes(hdr, "little")
-            if used < _FRAME_HDR + length:
-                raise ChannelError("truncated frame in ring")
-            off = (head + _FRAME_HDR) % cap
-            first = cap - off
-            if length <= first:
-                read(data_base + off, length)
-            else:
-                read(data_base + off, first)
-                read(data_base, length - first)
-            write_u64(base, head + _FRAME_HDR + length)
-            received += length
-        return received
-
     def try_recv(self, core: Core) -> bytes | None:
         """Pop one message; None if the ring is empty.
 
-        Inlined like :meth:`try_send`; the access sequence is exactly
-        the :meth:`_load` + 2× :meth:`_read_wrapped` + head-update the
-        helpers would issue.
+        ``head``, ``tail`` and the frame length live in shared memory a
+        mutually distrusting peer can write, so they are checked before
+        any payload read: more than ``capacity`` bytes in use, or a frame
+        longer than what is in use, raises :class:`ChannelError` — no
+        read ever leaves ``[base + 64, base + 64 + capacity)``.
         """
         base = self.base
-        cap = self.capacity
         raw = core.read(base, 16)
         from_bytes = int.from_bytes
         head = from_bytes(raw[:8], "little")
@@ -213,24 +113,14 @@ class SharedRing:
         used = tail - head
         if used == 0:
             return None
-        data_base = base + _DATA_OFF
-        off = head % cap
-        first = cap - off
-        if first >= _FRAME_HDR:
-            hdr = core.read(data_base + off, _FRAME_HDR)
-        else:
-            hdr = (core.read(data_base + off, first)
-                   + core.read(data_base, _FRAME_HDR - first))
-        length = from_bytes(hdr, "little")
+        if used > self.capacity:
+            raise ChannelError("corrupt ring header: more bytes in use "
+                               "than the ring holds")
+        length = from_bytes(self._read_wrapped(core, head, _FRAME_HDR),
+                            "little")
         if used < _FRAME_HDR + length:
             raise ChannelError("truncated frame in ring")
-        off = (head + _FRAME_HDR) % cap
-        first = cap - off
-        if length <= first:
-            payload = core.read(data_base + off, length)
-        else:
-            payload = (core.read(data_base + off, first)
-                       + core.read(data_base, length - first))
+        payload = self._read_wrapped(core, head + _FRAME_HDR, length)
         core.write_u64(base + _HEAD_OFF, head + _FRAME_HDR + length)
         return payload
 

@@ -23,11 +23,10 @@ that a fault-free run would not have perturbed:
 * the LLC replacement state (eviction bubbles only — AEX/ERESUME perform
   no memory traffic).
 
-The TLB restore bumps the generation stamp, so the per-core micro-cache is
-invalidated; the next access takes the full ``tlb.lookup`` hit path, which
-charges exactly the same ``tlb_hit`` cost and counter as the fast path —
-simulated time is unchanged.  What deliberately *persists* is the
-architectural bookkeeping a real fault leaves behind: ``Tcs.aex_count``
+The TLB restore is exact — each entry comes back with the access plan its
+fill recorded, in the same LRU order — so later hits are served and
+charged exactly as in a fault-free run; simulated time is unchanged.  What
+deliberately *persists* is the architectural bookkeeping a real fault leaves behind: ``Tcs.aex_count``
 and MEE version/ciphertext churn (neither is folded into any experiment's
 ``result_fingerprint``).  After every injection the engine audits
 :func:`repro.core.invariants.audit_machine` and raises
@@ -164,7 +163,7 @@ class FaultEngine:
     @staticmethod
     def _tlb_restore(core: "Core", snapshot: tuple) -> None:
         contents, flush_count = snapshot
-        core.tlb.restore(contents)          # bumps generation
+        core.tlb.restore(contents)
         core.tlb.flush_count = flush_count  # see module docstring
 
     # -- injections -----------------------------------------------------------

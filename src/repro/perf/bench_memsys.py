@@ -6,7 +6,7 @@ sweep is the workload most sensitive to it — millions of validated
 accesses through TLB → LLC → MEE per run.  This module times that sweep,
 the fingerprint workloads, and an EPC-pressure leg (bulk copies whose
 working set is EWB'd out of the EPC and ELDB'd back between rounds, so
-the access-plan compiler never gets a warm TLB to lean on) on the host
+the TLB fast path never gets a warm TLB to lean on) on the host
 clock and writes the numbers to ``BENCH_memsys.json`` at the repository
 root, so a checked-in snapshot documents the expected cost on the
 reference box and ``tests/perf/test_host_budget.py`` can flag

@@ -1,7 +1,7 @@
 """Determinism-fingerprint harness for the simulated memory system.
 
-The PR-2 fast paths (dict-backed LLC sets, aggregated memory-side cost
-charging, the per-core translation micro-cache, bulk transfers) are only
+The fast paths (dict-backed LLC sets, aggregated memory-side cost
+charging, the per-core TLB fast path, bulk transfers) are only
 legal if they change *host* wall-clock and nothing else.  This module
 pins that down: a handful of fixed workloads run on fresh machines, and
 everything an optimization could corrupt — the simulated clock, every
@@ -16,11 +16,10 @@ The workloads deliberately cover the paths the fast-path work touches:
 the in-EPC ring channel (LLC + MEE ciphertext), the AES-GCM software
 channel (crypto byte-for-byte), EPC eviction under live inner threads
 (EWB/ELDB, IPIs, TLB shootdown), a transition storm (EENTER/EEXIT/
-NEENTER/NEEXIT/AEX/ERESUME flush discipline, which the translation
-micro-cache must honour), and a bulk same-mode memcpy through a nested
-pair (``bulk_copy``) — the exact multi-page contiguous shape the
-access-plan compiler batches, pinned independently of the Fig. 11
-sweep.
+NEENTER/NEEXIT/AEX/ERESUME flush discipline, which the TLB fast path
+must honour), and a bulk same-mode memcpy through a nested pair
+(``bulk_copy``) — the exact multi-page contiguous shape the fast path
+fuses into page runs, pinned independently of the Fig. 11 sweep.
 """
 
 from __future__ import annotations
@@ -274,14 +273,15 @@ def _wl_eviction_pressure() -> Machine:
 
 def bulk_pair(**config_overrides):
     """An outer/inner pair whose entries move *large contiguous spans*:
-    the hot shape the access-plan compiler batches into page-runs.
+    the hot shape the TLB fast path fuses into page runs.
 
     A separate constellation from :func:`nested_pair` on purpose — its
     entries are measured into MRENCLAVE, so extending ``nested_pair``
     would shift every existing golden.  ``config_overrides`` pass
     through to :class:`~repro.sgx.constants.MachineConfig`
-    (``reference_paths=True`` replays the same spans per-line with the
-    plan compiler dead).  Returns ``(host, outer, inner)``.
+    (``reference_paths=True`` replays the same spans page by page
+    through ``_translate`` and the per-line memside path).  Returns
+    ``(host, outer, inner)``.
     """
     from repro.experiments.common import nested_host
     from repro.sdk import EnclaveBuilder, parse_edl

@@ -64,8 +64,9 @@ class MachineConfig:
     #: tests read raw DRAM and confirm ciphertext) or only tracks costs.
     mee_encrypt_bytes: bool = True
     #: Run the straightforward pre-fast-path memory/translation code:
-    #: no memside inlining, no single-frame shortcut, a dead per-core
-    #: translation micro-cache.  Simulated behaviour must be
+    #: no memside inlining, no single-frame shortcut, and no TLB entry
+    #: filled as ``direct``, so every access takes the per-page
+    #: ``_translate`` + memside path.  Simulated behaviour must be
     #: bit-identical to the optimized paths — the differential fuzzer
     #: (repro.analysis.difffuzz) diffs the two on every schedule.
     reference_paths: bool = False

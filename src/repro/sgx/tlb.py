@@ -15,6 +15,12 @@ instead), but so the *simulator can detect* any violation of the
 flush-on-transition discipline: reading through an entry validated under a
 different context raises immediately in :meth:`lookup` assertions inside
 tests (see ``repro.core.invariants``).
+
+Each entry also carries the access plan its fill derived — physical base,
+PRM/crypto flags and whether the core may move the frame's bytes itself
+(:class:`TlbEntry`) — so a TLB hit *is* a plan hit.  There is no cache
+beside the TLB: whatever flushes or shoots down an entry drops its plan
+with it.
 """
 
 from __future__ import annotations
@@ -24,12 +30,35 @@ from dataclasses import dataclass
 
 @dataclass(slots=True)
 class TlbEntry:
+    """One validated translation, which doubles as its access plan.
+
+    The last four fields are filled in once, at fill time, by
+    :meth:`repro.sgx.cpu.Core._translate`: a TLB hit on a ``direct``
+    entry is served by the core's fast path without re-deriving any of
+    them.  The plan holds addresses and flags only; the frame's bytes
+    are looked up at serve time, because EREMOVE drops frames without
+    flushing TLBs.  Entries built with the defaults (tests that forge
+    TLB contents) are never ``direct``, so their hits take the reference
+    ``lookup`` + memside path, which charges identically.
+    """
+
     vpn: int
     pfn: int
     perms: int
     #: Enclave ID the validation ran under (0 = non-enclave mode).  Used
     #: only by invariant checking, never by lookup logic.
     context_eid: int
+    #: Physical address of the page (``pfn << PAGE_SHIFT``).
+    base: int = 0
+    #: The page lies in the PRM (its LLC misses pass through the MEE).
+    prm: bool = False
+    #: PRM page whose DRAM bytes are genuine MEE ciphertext.
+    crypto: bool = False
+    #: The fast path may move this frame's bytes itself: the frame lies
+    #: wholly inside DRAM (a PTE is OS-controlled input; other frames
+    #: must reach the memside ``SgxFault`` check) and the machine is not
+    #: in ``reference_paths`` mode.
+    direct: bool = False
 
 
 class Tlb:
@@ -43,23 +72,6 @@ class Tlb:
         # is the LRU promotion, ``next(iter(...))`` the LRU victim.
         self._entries: dict[int, TlbEntry] = {}
         self.flush_count = 0
-        #: Bumped on every operation that can change contents *or* LRU
-        #: recency.  The per-core translation micro-cache
-        #: (:class:`repro.sgx.cpu.Core`) snapshots this value and treats
-        #: any change as invalidation, so a micro-cache hit is only ever
-        #: taken when the cached entry provably is still the TLB's MRU
-        #: entry — making the skipped ``lookup`` unobservable.
-        self.generation = 0
-        #: Bumped only on operations that can change *contents* — insert
-        #: (which may capacity-evict), flush, invalidate_pfn, restore —
-        #: never on lookup (promotion only reorders recency).  The
-        #: per-core access-plan cache (:class:`repro.sgx.cpu.Core`)
-        #: snapshots this value: while it is unchanged, every entry that
-        #: was in the TLB at snapshot time provably still is, so a
-        #: compiled page-run may charge tlb_hit per page without
-        #: consulting the TLB.  Monotonic, never rewound (see
-        #: :meth:`restore`).
-        self.content_gen = 0
 
     def lookup(self, vpn: int) -> TlbEntry | None:
         entries = self._entries
@@ -67,7 +79,6 @@ class Tlb:
         if ent is not None:
             del entries[vpn]
             entries[vpn] = ent
-            self.generation += 1
         return ent
 
     def insert(self, entry: TlbEntry) -> None:
@@ -76,14 +87,10 @@ class Tlb:
         entries[entry.vpn] = entry
         if len(entries) > self.capacity:
             del entries[next(iter(entries))]
-        self.generation += 1
-        self.content_gen += 1
 
     def flush(self) -> None:
         self._entries.clear()
         self.flush_count += 1
-        self.generation += 1
-        self.content_gen += 1
 
     def invalidate_pfn(self, pfn: int) -> int:
         """Drop every entry mapping to ``pfn``. Returns #dropped.
@@ -95,8 +102,6 @@ class Tlb:
         victims = [vpn for vpn, e in self._entries.items() if e.pfn == pfn]
         for vpn in victims:
             del self._entries[vpn]
-        self.generation += 1
-        self.content_gen += 1
         return len(victims)
 
     def entries(self) -> list[TlbEntry]:
@@ -104,23 +109,17 @@ class Tlb:
 
     # -- snapshot / restore (bounded model checking) -------------------------
     def capture(self) -> tuple:
-        """Contents + LRU recency as plain tuples (LRU first, MRU last)."""
-        return tuple((e.vpn, e.pfn, e.perms, e.context_eid)
+        """Every entry, access plan included, as plain tuples (LRU first,
+        MRU last) — an exact image :meth:`restore` rebuilds."""
+        return tuple((e.vpn, e.pfn, e.perms, e.context_eid,
+                      e.base, e.prm, e.crypto, e.direct)
                      for e in self._entries.values())
 
     def restore(self, snapshot: tuple) -> None:
-        """Rebuild contents from :meth:`capture`.
-
-        ``generation`` and ``content_gen`` are *bumped*, never rewound:
-        the per-core micro-cache and access-plan cache compare
-        generations for equality, so any rewind could make a stale
-        cached entry look current again.
-        """
+        """Rebuild contents and recency from :meth:`capture`."""
         self._entries.clear()
-        for vpn, pfn, perms, context_eid in snapshot:
-            self._entries[vpn] = TlbEntry(vpn, pfn, perms, context_eid)
-        self.generation += 1
-        self.content_gen += 1
+        for fields in snapshot:
+            self._entries[fields[0]] = TlbEntry(*fields)
 
     def __len__(self) -> int:
         return len(self._entries)

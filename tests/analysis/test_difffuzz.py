@@ -92,7 +92,7 @@ class TestRealOracles:
 
     def test_bulk_storm_bursts_agree_across_paths(self):
         """A schedule of back-to-back multi-page bursts interleaved
-        with evictions: the hardest shape for plan-cache invalidation,
+        with evictions: the hardest shape for TLB invalidation,
         pinned fast-vs-reference directly rather than hoping a seed
         draws it."""
         schedule = Schedule(seed=0, ops=(

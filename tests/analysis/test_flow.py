@@ -32,11 +32,11 @@ class TestCallGraph:
         resolver shows up here first.  Update deliberately."""
         assert repo_result.stats == {
             "modules": 145,
-            "functions": 1051,
-            "call_edges": 954,
-            "weak_edges": 2847,
-            "secret_summaries": 462,
-            "always_charging": 150,
+            "functions": 1041,
+            "call_edges": 955,
+            "weak_edges": 2799,
+            "secret_summaries": 455,
+            "always_charging": 152,
         }
 
     def test_strong_edge_import_resolved(self, repo_result):

@@ -34,17 +34,15 @@ GOLDEN_KILLS = {
         "MC002",
         "nasso(E1 -> outer E0) -> eenter(core0, E1) "
         "-> probe alias-outer(core0, E0.data0)"),
-    # The frozen-epoch plan cache (ISSUE 7): a compiled plan serves the
-    # shadowed outer page straight past the re-pointed page table — one
-    # touch to compile the plan, then the probe reads through it with
-    # no validator run.  Each label is load-bearing: drop the nasso and
-    # the touch aborts; drop the eenter and the touch runs untrusted;
-    # drop the touch and there is no plan, so the real validator #PFs.
-    "plan-cache-skips-validation": (
-        "MC003",
-        "nasso(E1 -> outer E0) -> eenter(core0, E1) "
-        "-> touch(core0, E0.data0) "
-        "-> probe shadow-outer(core0, E0.data0)"),
+    # A TLB whose flushes keep their entries: the entry validated for
+    # E0's page survives EEXIT's flush, so the untrusted core holds a
+    # translation into the PRM.  Each label is load-bearing: drop the
+    # eenter and the touch aborts; drop the touch and there is no
+    # entry; drop the eexit and the entry is still legitimate.
+    "stale-tlb": (
+        "MC001",
+        "eenter(core0, E0) -> touch(core0, E0.data0) -> eexit(core0) "
+        "-> audit"),
     "skip-outside-elrange-pf": (
         "MC003",
         "nasso(E1 -> outer E0) -> eenter(core0, E1) "

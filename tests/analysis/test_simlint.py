@@ -366,7 +366,7 @@ class TestSim008:
         """)
         assert _rules(result) == ["SIM008"]
         finding = result.findings[0]
-        assert "plan-compiled" in finding.message
+        assert "recorded at TLB fill" in finding.message
         assert finding.symbol == "bulk_read:validator.validate"
 
     def test_module_level_call_flagged(self, tmp_path):
@@ -386,10 +386,11 @@ class TestSim008:
     def test_other_function_in_allowlisted_module_still_flagged(
             self, tmp_path):
         """The allowlist is per-leaf (module:function), not per-module:
-        a *new* validator call site inside repro.sgx.cpu sidesteps the
-        plan cache's invalidation discipline and must be flagged."""
+        a *new* validator call site inside repro.sgx.cpu validates
+        outside the TLB fill, where no flush can revoke the verdict, and
+        must be flagged."""
         result = _lint(tmp_path, """
-        def _plan_run(self, vaddr):
+        def _span(self, vaddr):
             return self.machine.validator.validate(self, vaddr)
         """, name="repro/sgx/cpu.py")
         assert _rules(result) == ["SIM008"]

@@ -153,6 +153,29 @@ class TestChannelSecurity:
         delta = machine.counters.delta_since(snap)
         assert "gcm_seal" not in delta and "gcm_open" not in delta
 
+    def test_forged_header_cannot_read_past_the_ring(self, world):
+        """Peer inners can write the shared header.  A tail claiming
+        more bytes in use than the ring holds, with a frame length to
+        match, must be rejected before the payload read — no read may
+        leave the ring, or the receiver returns outer data beyond it."""
+        machine, ring, core_a, core_b, *_ = world
+        cap = ring.capacity
+        end = ring.base + 64 + cap
+        core_a.write(0x103000, b"outer data past the ring")
+        core_a.write_u64(ring.base + 8, 4 + 3 * cap)
+        core_a.write(ring.base + 64, (3 * cap).to_bytes(4, "little"))
+        reads = []
+        real_read = core_b.read
+
+        def recording_read(vaddr, size):
+            reads.append((vaddr, size))
+            return real_read(vaddr, size)
+
+        core_b.read = recording_read
+        with pytest.raises(ChannelError):
+            ring.try_recv(core_b)
+        assert reads and all(vaddr + size <= end for vaddr, size in reads)
+
     def test_ring_too_small_rejected(self):
         with pytest.raises(ChannelError):
             SharedRing(0x1000, 4)

@@ -54,10 +54,10 @@ def test_fingerprints_are_reproducible_within_process():
 
 
 def test_bulk_copy_compiled_matches_reference_paths():
-    """The access-plan compiler's hot shape must be byte-identical to
-    the per-line reference replay (``MachineConfig.reference_paths``
-    keeps the compiler dead), including the transition-log digest —
-    plan compilation records no transitions."""
+    """The TLB fast path's fused page runs must be byte-identical to
+    the per-page reference replay (``MachineConfig.reference_paths``
+    fills no TLB entry as ``direct``), including the transition-log
+    digest — the fast path records no transitions."""
     from repro.perf.fingerprint import bulk_pair, transition_digest
     from repro.sgx.constants import PAGE_SIZE
 

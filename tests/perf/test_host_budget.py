@@ -3,8 +3,9 @@
 Fail when one ``run_fig11`` sweep (or one EPC-pressure leg) takes more
 than ``budget_factor`` (2x) the host time recorded in the checked-in
 ``BENCH_memsys.json`` snapshot — the canary for accidentally reverting
-the aggregated charging / micro-cache / access-plan fast paths to
-per-line, per-lookup work.
+the aggregated charging and the TLB fast path (hits served from the
+access plan each entry records, fused page runs) to per-line,
+per-lookup work.
 
 Wall-clock tests are inherently noisy; set ``REPRO_SKIP_HOST_BUDGET=1``
 to skip (e.g. on heavily loaded CI boxes or under coverage/profiling

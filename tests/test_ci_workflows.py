@@ -66,11 +66,11 @@ class TestTier1Gate:
         assert "push" in triggers
         assert "pull_request" in triggers
 
-    def test_ten_separate_jobs(self):
+    def test_job_set_is_pinned(self):
         assert set(_load("ci.yml")["jobs"]) == \
             {"tests", "ruff", "analysis", "modelcheck", "chaos",
              "orderliness", "bench-smoke", "flow", "host",
-             "quick-suite"}
+             "quick-suite", "difffuzz"}
 
     def test_python_matrix_is_39_and_312(self):
         tests = _load("ci.yml")["jobs"]["tests"]
@@ -163,6 +163,19 @@ class TestTier1Gate:
             run.strip() == "python -m repro.analysis --only flow"
             for step in flow["steps"]
             for run in [step.get("run", "")])
+
+    def test_difffuzz_job_diffs_240_schedules_with_faults(self):
+        """Every pull request diffs the TLB fast path against the
+        reference replay; the nightly job adds depth and artifacts."""
+        difffuzz = _load("ci.yml")["jobs"]["difffuzz"]
+        assert difffuzz["env"]["PYTHONPATH"] == "src"
+        runs = [step.get("run", "") for step in difffuzz["steps"]]
+        fuzz_runs = [run for run in runs
+                     if "python -m repro.analysis.difffuzz" in run]
+        assert fuzz_runs
+        tokens = fuzz_runs[0].split()
+        assert int(tokens[tokens.index("--schedules") + 1]) >= 240
+        assert "--with-faults" in tokens
 
     def test_modelcheck_job_exhausts_default_scope(self):
         modelcheck = _load("ci.yml")["jobs"]["modelcheck"]
