@@ -27,9 +27,14 @@ collections); the annotation satisfies the obligation at that line and
 is itself grep-able intent documentation.
 
 The per-function summary (does it always charge before completing?) is
-computed to fixpoint over the call graph, path-sensitively inside each
-function: branches fork the charged-state, loops contribute their
-zero-iteration fallthrough, raises exit without obligation.
+computed path-sensitively inside each function: branches fork the
+charged-state, loops contribute their zero-iteration fallthrough,
+raises exit without obligation.  Across functions it is solved by the
+dependency-driven worklist of :mod:`repro.analysis.flow.fixpoint`:
+callers read only a callee's ``always_charges`` bit, so only a flip of
+that bit re-queues the functions that looked the callee up.  The bit
+only ever flips from False to True, so the worklist converges for a
+helper stack of any depth.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import ast
 from dataclasses import dataclass
 
 from repro.analysis.findings import Finding
+from repro.analysis.flow.fixpoint import solve
 from repro.analysis.flow.graph import CallGraph, FunctionInfo
 
 RULE = "FLOW002"
@@ -91,6 +97,8 @@ class ChargeSummary:
 
 
 _SKIP = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+#: Candidate marker for a syntactic charge seam.
+_SEAM = object()
 
 
 class _ChargeAnalysis:
@@ -102,31 +110,51 @@ class _ChargeAnalysis:
     """
 
     def __init__(self, info: FunctionInfo, graph: CallGraph,
-                 summaries: dict) -> None:
+                 summaries: dict, charges: dict) -> None:
         self.info = info
         self.graph = graph
         self.summaries = summaries
+        #: node -> its charge candidates; shared by one run's analyses.
+        self.charges = charges
+        #: fids whose summaries this analysis looked up (ordered set).
+        self.reads: dict = {}
         self.exits: list = []        # (line, charged: bool, what)
 
     def _annotated(self, stmt) -> bool:
         return stmt.lineno in self.info.module.charged
 
-    def _bump(self, states: frozenset, node) -> frozenset:
-        """Push one (non-compound) statement or expression through."""
+    def _candidates(self, node) -> tuple:
+        """What may charge in ``node``, in walk order: callee fids, then
+        :data:`_SEAM` if a seam is found (nothing after it matters)."""
+        out = []
         for sub in ast.walk(node):
             if isinstance(sub, _SKIP):
                 continue
             if _is_seam(sub):
-                return frozenset({True})
+                out.append(_SEAM)
+                break
             if isinstance(sub, ast.Call):
                 strong, weak = self.graph.resolve_call(self.info, sub)
                 target = strong
                 if target is None and len(weak) == 1:
                     # Unambiguous name match may contribute charge.
                     target = next(iter(weak))
-                summary = self.summaries.get(target)
-                if summary is not None and summary.always_charges:
-                    return frozenset({True})
+                if target is not None:
+                    out.append(target)
+        return tuple(out)
+
+    def _bump(self, states: frozenset, node) -> frozenset:
+        """Push one (non-compound) statement or expression through."""
+        candidates = self.charges.get(node)
+        if candidates is None:
+            candidates = self.charges[node] = self._candidates(node)
+        for target in candidates:
+            if target is _SEAM:
+                return frozenset({True})
+            self.reads[target] = None
+            summary = self.summaries.get(target)
+            if summary is not None and summary.always_charges:
+                return frozenset({True})
         return states
 
     def _block(self, stmts, states: frozenset) -> frozenset:
@@ -200,25 +228,29 @@ class _ChargeAnalysis:
                              uncharged_exits=uncharged)
 
 
-def check_charge_coverage(graph: CallGraph, entry_points,
-                          max_rounds: int = 6):
-    """Fixpoint summaries, then findings for entry-point violations.
+def check_charge_coverage(graph: CallGraph, entry_points):
+    """Worklist fixpoint summaries, then findings for entry-point
+    violations.
 
-    Returns ``(findings, summaries)``.
+    Returns ``(findings, fixpoint)``; ``fixpoint.summaries`` maps every
+    fid to its :class:`ChargeSummary`.
     """
-    summaries: dict = {fid: ChargeSummary() for fid in graph.functions}
-    for _ in range(max_rounds):
-        changed = False
-        for fid, info in graph.functions.items():
-            summary = _ChargeAnalysis(info, graph, summaries).run()
-            if (summary.always_charges,
-                    summary.uncharged_exits) != \
-                    (summaries[fid].always_charges,
-                     summaries[fid].uncharged_exits):
-                changed = True
-            summaries[fid] = summary
-        if not changed:
-            break
+    charges: dict = {}
+
+    def analyse(info: FunctionInfo, summaries: dict):
+        analysis = _ChargeAnalysis(info, graph, summaries, charges)
+        return analysis.run(), analysis.reads
+
+    fixpoint = solve(
+        graph, ChargeSummary, analyse,
+        lambda old, new: old.always_charges != new.always_charges)
+    return entry_point_findings(graph, entry_points,
+                                fixpoint.summaries), fixpoint
+
+
+def entry_point_findings(graph: CallGraph, entry_points,
+                         summaries: dict) -> list:
+    """FLOW002 findings for ``entry_points`` given solved summaries."""
     findings: list = []
     for fid in entry_points:
         info = graph.functions.get(fid)
@@ -240,4 +272,4 @@ def check_charge_coverage(graph: CallGraph, entry_points,
                          f"{what} (annotate '# flow: charged' if this "
                          "path provably touches no memory)"),
                 symbol=info.qualname))
-    return sorted(set(findings)), summaries
+    return sorted(set(findings))

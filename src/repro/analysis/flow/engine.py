@@ -6,6 +6,9 @@ charged`` annotations come along), builds the call graph, and runs
 FLOW001–FLOW004, returning a :class:`FlowResult` whose ``report`` slots
 into the existing findings/baseline/SARIF pipeline and whose ``stats``
 are pinned by the test suite as a drift tripwire for the graph builder.
+``stats`` also counts the function analyses the FLOW001/FLOW002
+worklists ran (``secret_analyses``, ``charge_analyses``), the work
+tripwire for the summary solver.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ def analyze_graph(graph: CallGraph,
                   config: FlowConfig = DEFAULT_CONFIG) -> FlowResult:
     """Run the four checks over an already-built graph."""
     report = Report()
-    secret_findings, secret_summaries = check_secret_flow(graph)
+    secret_findings, secret = check_secret_flow(graph)
     report.findings.extend(secret_findings)
-    charge_findings, charge_summaries = check_charge_coverage(
+    charge_findings, charges = check_charge_coverage(
         graph, config.charge_entry_points)
     report.findings.extend(charge_findings)
     report.findings.extend(check_determinism_reachability(graph, config))
@@ -47,9 +50,12 @@ def analyze_graph(graph: CallGraph,
     report.passes.append("flow")
     stats = dict(graph.stats())
     stats["secret_summaries"] = sum(
-        1 for summary in secret_summaries.values() if summary.nontrivial())
+        1 for summary in secret.summaries.values() if summary.nontrivial())
     stats["always_charging"] = sum(
-        1 for summary in charge_summaries.values() if summary.always_charges)
+        1 for summary in charges.summaries.values()
+        if summary.always_charges)
+    stats["secret_analyses"] = secret.analyses
+    stats["charge_analyses"] = charges.analyses
     return FlowResult(report=report, graph=graph, stats=stats)
 
 

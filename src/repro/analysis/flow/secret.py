@@ -16,6 +16,16 @@ parameters reach a sink — the last carrying the *call chain*, so a
 caller several hops above the sink reports ``via helper → shipper →
 sink`` (deeper than the taint pass, whose summaries stop one hop above
 a sink).
+
+Summaries are solved by the dependency-driven worklist of
+:mod:`repro.analysis.flow.fixpoint`: every function is analysed once,
+and a function is analysed again only when the summary of a callee it
+looked up changes (its ``merge_key()``), so a helper stack of any depth
+converges and the findings are those of each function's latest
+analysis.  A sink fact records the (function, parameter) pairs it was
+lifted through and is never lifted into a pair it already passed, so a
+recursive helper that reaches a sink after its recursive call keeps its
+direct fact instead of growing an ever longer chain.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.analysis.findings import Finding
+from repro.analysis.flow.fixpoint import solve
 from repro.analysis.flow.graph import CallGraph, FunctionInfo
 from repro.analysis.taint import (_SANITIZER_CALLS, _SOURCE_CALLS,
                                   _is_secret_name)
@@ -39,7 +50,7 @@ class SinkFact:
 
     line: int                    # call/sink line in *this* function
     kind: str                    # "ocall" | "transition-log"
-    chain: tuple = ()            # callee qualnames walked to the sink
+    via: tuple = ()              # (callee fid, param index) walked to it
     sink_line: int = 0           # line of the innermost sink
 
 
@@ -53,7 +64,7 @@ class Summary:
 
     def merge_key(self):
         return (frozenset(self.param_to_return), self.return_labels,
-                tuple(sorted((i, f.line, f.kind, f.chain, f.sink_line)
+                tuple(sorted((i, f.line, f.kind, f.via, f.sink_line)
                              for i, f in self.param_to_sink.items())))
 
     def nontrivial(self) -> bool:
@@ -61,14 +72,39 @@ class Summary:
                     or self.param_to_sink)
 
 
+def _is_transition_sink(func: ast.Attribute) -> bool:
+    if func.attr == "log_transition":
+        return True
+    return (func.attr == "record"
+            and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "transitions")
+
+
+def _sink_calls(expr) -> tuple:
+    """``(call, kind)`` for every sink call in ``expr``, in walk order."""
+    out = []
+    for node in ast.walk(expr):
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "ocall":
+                out.append((node, "ocall"))
+            elif _is_transition_sink(node.func):
+                out.append((node, "transition-log"))
+    return tuple(out)
+
+
 class _FunctionTaint(ast.NodeVisitor):
     """One intraprocedural pass with call-graph-resolved summaries."""
 
     def __init__(self, info: FunctionInfo, graph: CallGraph,
-                 summaries: dict) -> None:
+                 summaries: dict, sinks: dict) -> None:
         self.info = info
         self.graph = graph
         self.summaries = summaries
+        #: expr node -> its sink calls; shared by one run's analyses.
+        self.sinks = sinks
+        #: fids whose summaries this analysis looked up (ordered set).
+        self.reads: dict = {}
         self.env: dict = {}
         self.param_names = list(info.params)
         self.param_labels: dict = {}
@@ -120,9 +156,11 @@ class _FunctionTaint(ast.NodeVisitor):
         if bare in _SOURCE_CALLS:
             return frozenset({f"egetkey:{self.info.qualname}"})
         target, _weak = self.graph.resolve_call(self.info, node)
-        summary = self.summaries.get(target) if target else None
+        summary = None
+        if target:
+            self.reads[target] = None
+            summary = self.summaries.get(target)
         if summary is not None:
-            callee = self.graph.functions[target]
             labels = set(summary.return_labels)
             for index, arg in enumerate(node.args):
                 if index in summary.param_to_return:
@@ -132,7 +170,7 @@ class _FunctionTaint(ast.NodeVisitor):
                     continue
                 lifted = SinkFact(
                     line=node.lineno, kind=fact.kind,
-                    chain=(callee.qualname,) + fact.chain,
+                    via=((target, index),) + fact.via,
                     sink_line=fact.sink_line)
                 arg_labels = self.taint_of(arg)
                 # Only *secret* labels indict this caller; a plain param
@@ -145,7 +183,8 @@ class _FunctionTaint(ast.NodeVisitor):
                     self._report(node.lineno, secret, lifted)
                 for label in arg_labels:
                     pindex = self._param_index(label)
-                    if pindex is not None:
+                    if pindex is not None and \
+                            (self.info.fid, pindex) not in lifted.via:
                         self.summary.param_to_sink.setdefault(
                             pindex, lifted)
             return frozenset(labels)
@@ -213,21 +252,11 @@ class _FunctionTaint(ast.NodeVisitor):
         if expr is None:
             return
         self.taint_of(expr)     # triggers summary-based reporting
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute):
-                if node.func.attr == "ocall":
-                    self._check_sink(node, "ocall")
-                elif self._is_transition_sink(node.func):
-                    self._check_sink(node, "transition-log")
-
-    @staticmethod
-    def _is_transition_sink(func: ast.Attribute) -> bool:
-        if func.attr == "log_transition":
-            return True
-        return (func.attr == "record"
-                and isinstance(func.value, ast.Attribute)
-                and func.value.attr == "transitions")
+        sinks = self.sinks.get(expr)
+        if sinks is None:
+            sinks = self.sinks[expr] = _sink_calls(expr)
+        for node, kind in sinks:
+            self._check_sink(node, kind)
 
     def _check_sink(self, node: ast.Call, kind: str) -> None:
         # First positional argument names the interface/event, not data.
@@ -248,8 +277,10 @@ class _FunctionTaint(ast.NodeVisitor):
                     self.summary.param_to_sink.setdefault(index, fact)
 
     def _report(self, line: int, labels: Labels, fact: SinkFact) -> None:
+        chain = tuple(self.graph.functions[fid].qualname
+                      for fid, _index in fact.via)
         path = " → ".join(
-            (self.info.qualname,) + fact.chain
+            (self.info.qualname,) + chain
             + (f"{fact.kind} sink at line {fact.sink_line}",))
         origin = ", ".join(sorted(labels))
         message = (f"key material ({origin}) reaches a {fact.kind} "
@@ -267,21 +298,21 @@ class _FunctionTaint(ast.NodeVisitor):
                 self.visit(stmt)
 
 
-def check_secret_flow(graph: CallGraph, max_rounds: int = 8):
-    """Fixpoint over all function summaries → (findings, summaries)."""
-    summaries: dict = {fid: Summary() for fid in graph.functions}
-    findings: list = []
-    for _ in range(max_rounds):
-        changed = False
-        round_findings: list = []
-        for fid, info in graph.functions.items():
-            analysis = _FunctionTaint(info, graph, summaries)
-            analysis.run()
-            if summaries[fid].merge_key() != analysis.summary.merge_key():
-                changed = True
-            summaries[fid] = analysis.summary
-            round_findings.extend(analysis.findings)
-        findings = round_findings
-        if not changed:
-            break
-    return sorted(set(findings)), summaries
+def check_secret_flow(graph: CallGraph):
+    """Worklist fixpoint over all function summaries.
+
+    Returns ``(findings, fixpoint)``; ``fixpoint.summaries`` maps every
+    fid to its :class:`Summary`.
+    """
+    findings: dict = {}          # fid -> findings of its latest analysis
+    sinks: dict = {}
+
+    def analyse(info: FunctionInfo, summaries: dict):
+        analysis = _FunctionTaint(info, graph, summaries, sinks)
+        analysis.run()
+        findings[info.fid] = analysis.findings
+        return analysis.summary, analysis.reads
+
+    fixpoint = solve(graph, Summary, analyse,
+                     lambda old, new: old.merge_key() != new.merge_key())
+    return sorted({f for fs in findings.values() for f in fs}), fixpoint

@@ -80,7 +80,6 @@ class Core:
         self._frames = machine.phys._frames
         self._prm_lo = machine._prm_lo
         self._prm_hi = machine._prm_hi
-        self._mee_bytes = machine._mee_bytes
         self._dram_bytes = machine._dram_bytes
         # Single-line LLC probe, inlined into the fast path: the model's
         # internals (set list, geometry) and the memory-system unit
@@ -136,9 +135,12 @@ class Core:
         The fill is where the page's access plan is derived, once: its
         physical base, whether it lies in the PRM (MEE lines on miss),
         whether its DRAM bytes are ciphertext, and whether the fast path
-        may move its bytes itself (``direct``).  A PRM-straddling page
-        cannot occur — ``MachineConfig`` enforces page-aligned PRM
-        bounds — so one ``prm`` flag covers the whole page.
+        may move its bytes itself (``direct``).  The ciphertext flag is
+        read from the machine here, not cached on the core: a bit-flip
+        fault plan switches byte-accurate MEE on after the cores exist.
+        A PRM-straddling page cannot occur — ``MachineConfig`` enforces
+        page-aligned PRM bounds — so one ``prm`` flag covers the whole
+        page.
         """
         vpn = vaddr >> PAGE_SHIFT
         tlb = self.tlb
@@ -173,7 +175,7 @@ class Core:
             entry = TlbEntry(
                 vpn=vpn, pfn=pte.pfn, perms=decision.perms,
                 context_eid=self.current_eid, base=base, prm=prm,
-                crypto=self._mee_bytes and prm,
+                crypto=machine._mee_bytes and prm,
                 direct=(self._direct_ok and base >= 0
                         and base + PAGE_SIZE <= self._dram_bytes))
             tlb.insert(entry)

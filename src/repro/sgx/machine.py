@@ -54,7 +54,8 @@ class Machine:
         self.config = config or MachineConfig()
         # Hot-path constants (PRM bounds, MEE byte-accuracy flag) hoisted
         # out of the per-access path; MachineConfig is never mutated
-        # after construction.
+        # after construction.  A bit-flip fault plan forces _mee_bytes
+        # on after the cores exist, so cores read it at TLB fill time.
         self._prm_lo = self.config.prm_base
         self._prm_hi = self.config.prm_base + self.config.prm_bytes
         self._mee_bytes = self.config.mee_encrypt_bytes

@@ -25,10 +25,14 @@ with it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
+#: ``slots=True`` needs Python 3.10; on 3.9 the entry keeps a __dict__.
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
-@dataclass(slots=True)
+
+@dataclass(**_SLOTS)
 class TlbEntry:
     """One validated translation, which doubles as its access plan.
 

@@ -6,12 +6,17 @@ import textwrap
 import pytest
 
 from repro.analysis.cli import main
+from repro.analysis.findings import AnalysisError
 from repro.analysis.flow import MUTATIONS, run_flow, run_flow_mutations
 from repro.analysis.flow.charges import check_charge_coverage
+from repro.analysis.flow.config import DEFAULT_CONFIG
+from repro.analysis.flow.fixpoint import solve
 from repro.analysis.flow.graph import build_graph
 from repro.analysis.flow.secret import check_secret_flow
 from repro.analysis.pysource import load_module
 from repro.analysis.runner import repo_root
+from tests.analysis.reference_fixpoint import (reference_charge_coverage,
+                                               reference_secret_flow)
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +35,14 @@ class TestCallGraph:
     def test_pinned_stats(self, repo_result):
         """Drift tripwire: adding/removing functions or changing the
         resolver shows up here first.  Update deliberately."""
-        assert repo_result.stats == {
-            "modules": 145,
-            "functions": 1041,
-            "call_edges": 955,
-            "weak_edges": 2799,
-            "secret_summaries": 455,
+        pinned = ("modules", "functions", "call_edges", "weak_edges",
+                  "secret_summaries", "always_charging")
+        assert {key: repo_result.stats[key] for key in pinned} == {
+            "modules": 146,
+            "functions": 1047,
+            "call_edges": 963,
+            "weak_edges": 2803,
+            "secret_summaries": 458,
             "always_charging": 152,
         }
 
@@ -61,6 +68,180 @@ class TestCallGraph:
     def test_nested_defs_are_nodes(self, repo_result):
         fids = repo_result.graph.functions
         assert "repro.perf.fingerprint:nested_pair.<locals>.poke" in fids
+
+
+class TestWorklist:
+    def test_work_is_bounded_by_changes_not_rounds(self, repo_result):
+        """Work-count tripwire: round-robin re-ran every function once
+        per level of the deepest helper chain (5x and 6x the function
+        count); the worklist re-runs a function only when a summary it
+        read changed."""
+        functions = repo_result.stats["functions"]
+        assert repo_result.stats["secret_analyses"] <= 2 * functions
+        assert repo_result.stats["charge_analyses"] <= 2 * functions
+
+    def test_non_converging_analysis_is_loud(self, tmp_path):
+        """The solver never hands back unconverged summaries."""
+        graph = _graph_of(tmp_path, """
+            def f():
+                f()
+        """)
+        with pytest.raises(AnalysisError, match="did not converge"):
+            solve(graph, int,
+                  lambda info, summaries: (summaries[info.fid] + 1,
+                                           [info.fid]),
+                  lambda old, new: old != new)
+
+
+def _chain_source(head: str, sink: str, depth: int = 10) -> str:
+    """``head`` → h1 → … → h``depth`` → ``sink``, written caller first,
+    so each round-robin round only learns one more level."""
+    lines = [head.format(first="h1"), ""]
+    for level in range(1, depth + 1):
+        callee = f"h{level + 1}(ctx, data)" if level < depth else sink
+        lines += [f"def h{level}(ctx, data):", f"    {callee}", ""]
+    return "\n".join(lines)
+
+
+class TestDeepChains:
+    """A helper chain is followed to the end however deep it is; a
+    fixed round count (8 for FLOW001, 6 for FLOW002) cuts these off."""
+
+    def test_key_leak_eleven_calls_deep_is_reported(self, tmp_path):
+        graph = _graph_of(tmp_path, _chain_source(
+            "def probe(ctx, session_key):\n    {first}(ctx, session_key)",
+            'ctx.ocall("send", data)'))
+        findings, _ = check_secret_flow(graph)
+        assert len(findings) == 1
+        assert findings[0].symbol == "probe"
+        chain = " → ".join(f"h{level}" for level in range(1, 11))
+        assert f"probe → {chain} → ocall sink" in findings[0].message
+
+    def test_charge_eleven_calls_deep_satisfies(self, tmp_path):
+        graph = _graph_of(tmp_path, _chain_source(
+            "def touch(ctx):\n    {first}(ctx, 0)\n    return 1",
+            'ctx.cost.charge_event("x")'))
+        findings, fixpoint = check_charge_coverage(graph, ("mod:touch",))
+        assert findings == []
+        assert fixpoint.summaries["mod:touch"].always_charges
+
+
+_CYCLES = """
+    def walk(ctx, node, data):
+        for child in node.children:
+            walk(ctx, child, data)
+        ctx.ocall("send", data)
+
+
+    def swap(ctx, a, b, n):
+        if n:
+            swap(ctx, b, a, n - 1)
+        ctx.ocall("send", a)
+
+
+    def ping(ctx, data, n):
+        if n:
+            pong(ctx, data, n - 1)
+        ctx.log_transition("ping", data)
+
+
+    def pong(ctx, data, n):
+        if n:
+            ping(ctx, data, n - 1)
+
+
+    def launder_a(value, n):
+        if n:
+            return launder_b(value, n - 1)
+        return value
+
+
+    def launder_b(value, n):
+        return launder_a(value, n)
+
+
+    def probe_walk(ctx, root, session_key):
+        walk(ctx, root, session_key)
+
+
+    def probe_swap(ctx, session_key):
+        swap(ctx, 0, session_key, 3)
+
+
+    def probe_pong(ctx, session_key):
+        pong(ctx, session_key, 2)
+
+
+    def probe_launder(ctx, session_key):
+        clean = launder_a(session_key, 4)
+        ctx.ocall("send", clean)
+
+
+    def drain(cost, n):
+        if n:
+            return drain(cost, n - 1)
+        cost.charge_event("x")
+
+
+    def tick(cost, n):
+        if n:
+            return tock(cost, n - 1)
+        cost.charge_event("x")
+
+
+    def tock(cost, n):
+        cost.charge_event("y")
+        return tick(cost, n)
+"""
+
+
+class TestWorklistMatchesReference:
+    """Differential oracle: the worklist and the uncapped round-robin
+    reference give identical findings and per-function summaries."""
+
+    @staticmethod
+    def _assert_identical(graph, entry_points):
+        findings, secret = check_secret_flow(graph)
+        ref_findings, ref_secret = reference_secret_flow(graph)
+        assert findings == ref_findings
+        assert {fid: s.merge_key() for fid, s in secret.summaries.items()} \
+            == {fid: s.merge_key() for fid, s in ref_secret.items()}
+        findings, charges = check_charge_coverage(graph, entry_points)
+        ref_findings, ref_charges = reference_charge_coverage(
+            graph, entry_points)
+        assert findings == ref_findings
+
+        def facts(summaries):
+            return {fid: (s.always_charges, s.uncharged_exits)
+                    for fid, s in summaries.items()}
+        assert facts(charges.summaries) == facts(ref_charges)
+
+    def test_live_tree(self, repo_result):
+        self._assert_identical(repo_result.graph,
+                               DEFAULT_CONFIG.charge_entry_points)
+
+    def test_recursion_and_laundering_cycles(self, tmp_path):
+        graph = _graph_of(tmp_path, _CYCLES)
+        self._assert_identical(graph, ("mod:drain", "mod:tick", "mod:tock"))
+
+    def test_cycles_converge_to_the_expected_findings(self, tmp_path):
+        graph = _graph_of(tmp_path, _CYCLES)
+        messages = sorted(f.message.split(": ", 1)[1]
+                          for f in check_secret_flow(graph)[0])
+        assert messages == [
+            "probe_launder → ocall sink at line 49",
+            "probe_pong → pong → ping → transition-log sink at line 17",
+            "probe_swap → swap → swap → ocall sink at line 11",
+            "probe_walk → walk → ocall sink at line 5",
+        ]
+        # tick is analysed before tock proves it charges, so only the
+        # re-queue on tock's flip clears it.  Self-recursion alone never
+        # proves a charge: summaries start from "may skip".
+        findings, charges = check_charge_coverage(
+            graph, ("mod:drain", "mod:tick", "mod:tock"))
+        assert [f.symbol for f in findings] == ["drain"]
+        assert "drain → return at line 54" in findings[0].message
+        assert charges.summaries["mod:tick"].always_charges
 
 
 class TestRepoClean:

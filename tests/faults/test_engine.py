@@ -115,6 +115,40 @@ class TestMaliciousDetection:
         assert machine._mee_bytes
 
 
+def write_read_mismatches(ctx, rounds):
+    """Write then read back 64 heap lines per round; count bad reads."""
+    heap = ctx.handle.heap
+    wrong = 0
+    for i in range(rounds):
+        for line in range(64):
+            addr = heap.base + line * 64
+            value = (i * 7919 + line).to_bytes(8, "little")
+            ctx.write(addr, value)
+            wrong += ctx.read(addr, 8) != value
+    return wrong
+
+
+class TestByteAccurateMeeSwitch:
+    def test_forced_mee_bytes_reach_the_tlb_fast_path(self):
+        """A bit-flip plan turns byte-accurate MEE on after the cores
+        are built; TLB fills must see the switch, or the fast path reads
+        back the ciphertext that memside writes stored."""
+        never = FaultPlan(seed=0, faults=(FaultSpec(
+            kind="bitflip", at=10 ** 12, flip_mask=1),))
+        machine = Machine(SmallMachineConfig(num_cores=2,
+                                             mee_encrypt_bytes=False),
+                          validator_cls=NestedValidator)
+        engine = attach_engine(machine, never.to_json())
+        host = EnclaveHost(machine, Kernel(machine))
+        builder = EnclaveBuilder("churner", parse_edl(EDL),
+                                 signing_key=developer_key("faults"),
+                                 heap_bytes=4 * PAGE_SIZE)
+        builder.add_entry("churn", write_read_mismatches)
+        handle = host.load(builder.build())
+        assert handle.ecall("churn", 300) == 0
+        assert engine.injected == []
+
+
 class TestWiring:
     def test_env_var_attaches_engine(self, monkeypatch):
         plan = FaultPlan(seed=4, faults=(FaultSpec(kind="aex", at=50),))
