@@ -13,16 +13,19 @@ Occlum for SFI: validate at build time, don't trust convention):
   secret-named parameters declared on untrusted boundaries, and dead
   interface surface never bound by any port runtime.
 * :mod:`repro.analysis.simlint` — an ``ast`` pass over all of
-  ``src/repro`` (rules ``SIM001``–``SIM005``): direct DRAM/PRM access
-  outside the validation automaton, wall-clock reads, unseeded RNGs,
-  bare/broad ``except``, and hard-coded latency constants outside
-  :mod:`repro.perf.costmodel`.
-* :mod:`repro.analysis.taint` — a cross-boundary taint check over
-  every module that forms or forwards the ocall boundary (the ports,
-  miniSSL, :mod:`repro.sdk.runtime`, :mod:`repro.sdk.secure_channel`):
-  key material (GCM and session keys, ``EGETKEY`` results) must never
-  flow into an ocall argument (``TAINT001``) or into an EDL-declared
-  untrusted out-parameter (``TAINT002``).
+  ``src/repro`` (rules ``SIM001``–``SIM006``, ``SIM008``): direct
+  DRAM/PRM access outside the validation automaton, wall-clock reads,
+  unseeded RNGs, bare/broad ``except``, hard-coded latency constants
+  outside :mod:`repro.perf.costmodel`, host time on fault paths, and
+  per-access validator calls outside the TLB fill.
+* :mod:`repro.analysis.flow` — one interprocedural engine over a call
+  graph of every function in ``src/repro`` (rules ``FLOW001``–
+  ``FLOW004``): key material (GCM and session keys, ``EGETKEY``
+  results) must never reach an ocall argument — named by its
+  EDL-declared parameter when the interface is declared — or a
+  transition-log payload; memory-touch entry points always charge the
+  cost model; host-clock effects stay out of fingerprint code; and
+  Tcs/Secs lifecycle fields are assigned only by the ISA leaves.
 * :mod:`repro.analysis.modelcheck` — a bounded model checker
   (``--check modelcheck``, rules ``MC001``–``MC004``): BFS over every
   reachable configuration of a small bounded machine driving the *real*
@@ -32,7 +35,8 @@ Occlum for SFI: validate at build time, don't trust convention):
   weakening of the validator must be killed with a minimized
   counterexample trace.
 
-All passes run from one CLI — ``python -m repro.analysis`` — with
+The default gate runs ``edl``, ``sim`` and ``flow``; all passes run
+from one CLI — ``python -m repro.analysis`` — with
 ``--format text|json``, ``--sarif FILE`` for code-scanning upload, an
 optional ``--baseline`` file for grandfathered findings, and exit
 code 1 on any new finding.  The tier-1 gate

@@ -3,12 +3,12 @@
 Examples::
 
     python -m repro.analysis                      # default passes, text
-    python -m repro.analysis sim taint            # a subset
+    python -m repro.analysis edl sim              # a subset
     python -m repro.analysis --only simlint       # exactly one pass
+    python -m repro.analysis --only flow          # interprocedural dataflow
     python -m repro.analysis --only orderliness   # transition-log replay
     python -m repro.analysis --check modelcheck   # bounded model checker
     python -m repro.analysis --check modelcheck --scope deep
-    python -m repro.analysis --only flow          # interprocedural dataflow
     python -m repro.analysis --mutate all         # model-checker kill-list
     python -m repro.analysis --only flow --mutate all  # flow-engine kill-list
     python -m repro.analysis --format json        # machine-readable
@@ -39,7 +39,6 @@ ONLY_ALIASES = {
     "edl": "edl",
     "sim": "sim",
     "simlint": "sim",
-    "taint": "taint",
     "modelcheck": "modelcheck",
     "orderliness": "orderliness",
     "flow": "flow",
@@ -49,9 +48,11 @@ ONLY_ALIASES = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="EDL interface lint, simulation-integrity lint, "
-                    "cross-boundary taint check, and bounded model "
-                    "checking of the access automaton.")
+        description="EDL interface lint, simulation-integrity lint and "
+                    "the interprocedural flow engine (secret flow, charge "
+                    "coverage, determinism, lifecycle), plus opt-in "
+                    "transition-log replay and bounded model checking "
+                    "of the access automaton.")
     parser.add_argument("passes", nargs="*", metavar="pass",
                         help=f"subset of passes to run ({', '.join(PASSES)}; "
                              "default: all)")

@@ -1,16 +1,19 @@
 """Whole-repo interprocedural dataflow engine.
 
 Builds a call graph over every module in ``src/repro`` and runs four
-checks through the shared findings/baseline/SARIF pipeline:
+checks through the shared findings/baseline/SARIF pipeline, as one of
+the default passes of ``python -m repro.analysis``:
 
-* **FLOW001** — key material reaching ocall / transition-log sinks
-  through any helper chain (supersedes the taint pass's allowlist);
+* **FLOW001** — key material reaching ocall / transition-log sinks,
+  directly or through any helper chain, naming the EDL-declared
+  untrusted parameter when the ocall interface is declared;
 * **FLOW002** — every successful path through a memory-touch entry
   point passes a CostModel charge seam;
 * **FLOW003** — host-clock / unseeded-RNG effects reachable from the
   fingerprint-feeding modules;
-* **FLOW004** — Tcs/Secs lifecycle mutation smuggled through helpers
-  outside the ISA allowlist.
+* **FLOW004** — Tcs/Secs lifecycle fields assigned anywhere outside the
+  ISA allowlist, with the witness chain when a helper smuggles the
+  write under the lifecycle drivers.
 
 The engine self-validates via a named mutation corpus
 (:mod:`repro.analysis.flow.mutations`): ``--mutate all`` under

@@ -263,8 +263,6 @@ def entry_point_findings(graph: CallGraph, entry_points,
             continue
         summary = summaries[fid]
         for line, what in summary.uncharged_exits:
-            if info.module.suppressed(line, RULE):
-                continue
             findings.append(Finding(
                 path=info.module.path, line=line, rule=RULE,
                 message=(f"memory-touch entry point completes without a "

@@ -3,16 +3,29 @@
 Everything here is a *contract*, not a heuristic: entry points are the
 functions whose every successful path must charge simulated time,
 sanctioned modules are the ones whose host-time reads are segregated
-from results by construction, and the allowlists mirror the simlint
-configuration they generalize (``SimlintConfig.sim007_allowed`` for
-FLOW004, ``sim002_allowed`` for FLOW003).
+from results by construction, and the lifecycle allowlist names the
+modules that own the enclave state machine.  The FLOW001 tables below
+declare what counts as key material and what declassifies it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-from repro.analysis.simlint import DEFAULT_CONFIG as _SIMLINT_CONFIG
+# -- FLOW001: secret-flow sources and sanitizers ---------------------------
+#: Names (parameters, attributes) that denote key material: ``key``,
+#: ``*_key``, ``psk``, ``secret*``, ``priv*``.
+_SECRET_NAME_RE = re.compile(
+    r"(^|_)(key|keys|psk|secret\w*|priv\w*)($|_)", re.IGNORECASE)
+#: Calls whose result is key material (EGETKEY and its wrappers).
+SOURCE_CALLS = frozenset({"get_key", "egetkey", "nereport_key"})
+#: Authenticated encryption declassifies: the result is ciphertext.
+SANITIZER_CALLS = frozenset({"seal", "seal_record", "encrypt", "seal_out"})
+
+
+def is_secret_name(name: str) -> bool:
+    return bool(_SECRET_NAME_RE.search(name))
 
 
 @dataclass(frozen=True)
@@ -68,10 +81,17 @@ class FlowConfig:
     )
 
     # -- FLOW004: lifecycle-mutation escape --------------------------------
-    #: Modules that may assign Tcs/Secs lifecycle fields — identical to
-    #: the SIM007 allowlist; FLOW004 extends the *detection* through
-    #: helpers, not the privilege.
-    lifecycle_allowed: frozenset = _SIMLINT_CONFIG.sim007_allowed
+    #: Modules that may assign Tcs/Secs lifecycle fields: every other
+    #: assignment, in a function, a class body or at module level, is a
+    #: finding, so each lifecycle change flows through a leaf that the
+    #: transition log and the orderliness automaton see.
+    lifecycle_allowed: frozenset = frozenset({
+        "repro.sgx.isa",          # baseline leaves own the state machine
+        "repro.core.nested_isa",  # nested leaves likewise
+        # The model checker snapshots/restores lifecycle state by design
+        # (it explores the automaton, it does not simulate through it).
+        "repro.analysis.modelcheck.state",
+    })
     #: Modules whose functions count as lifecycle drivers for the
     #: witness-path search (ISA leaves and the OS driver above them).
     lifecycle_entry_modules: tuple = (

@@ -95,8 +95,6 @@ def check_determinism_reachability(graph: CallGraph, config) -> list:
         if info.module.name in config.sanctioned_effect_modules:
             continue
         for line, what in _nondet_effects(info, graph):
-            if info.module.suppressed(line, RULE):
-                continue
             chain: list = []
             cursor = fid
             while cursor is not None:

@@ -6,6 +6,9 @@ charged`` annotations come along), builds the call graph, and runs
 FLOW001–FLOW004, returning a :class:`FlowResult` whose ``report`` slots
 into the existing findings/baseline/SARIF pipeline and whose ``stats``
 are pinned by the test suite as a drift tripwire for the graph builder.
+The checks report every finding; :func:`apply_suppressions` then drops
+the ones an inline ``# flow: disable=RULE`` directive silences and
+counts them in ``Report.suppressed``, like the simlint directives.
 ``stats`` also counts the function analyses the FLOW001/FLOW002
 worklists ran (``secret_analyses``, ``charge_analyses``), the work
 tripwire for the summary solver.
@@ -35,19 +38,35 @@ class FlowResult:
     stats: dict = field(default_factory=dict)
 
 
+def apply_suppressions(graph: CallGraph, findings) -> tuple:
+    """``(kept, suppressed)``: the distinct findings no inline directive
+    on their line silences, and how many distinct findings were
+    silenced."""
+    modules = {module.path: module for module in graph.modules.values()}
+    kept: list = []
+    suppressed = 0
+    for finding in sorted(set(findings)):
+        module = modules.get(finding.path)
+        if module is not None and module.suppressed(finding.line,
+                                                    finding.rule):
+            suppressed += 1
+        else:
+            kept.append(finding)
+    return kept, suppressed
+
+
 def analyze_graph(graph: CallGraph,
                   config: FlowConfig = DEFAULT_CONFIG) -> FlowResult:
     """Run the four checks over an already-built graph."""
-    report = Report()
     secret_findings, secret = check_secret_flow(graph)
-    report.findings.extend(secret_findings)
     charge_findings, charges = check_charge_coverage(
         graph, config.charge_entry_points)
-    report.findings.extend(charge_findings)
-    report.findings.extend(check_determinism_reachability(graph, config))
-    report.findings.extend(check_lifecycle_escape(graph, config))
+    kept, suppressed = apply_suppressions(
+        graph, secret_findings + charge_findings
+        + check_determinism_reachability(graph, config)
+        + check_lifecycle_escape(graph, config))
+    report = Report(findings=kept, suppressed=suppressed, passes=["flow"])
     report.dedupe()
-    report.passes.append("flow")
     stats = dict(graph.stats())
     stats["secret_summaries"] = sum(
         1 for summary in secret.summaries.values() if summary.nontrivial())

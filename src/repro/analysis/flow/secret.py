@@ -1,21 +1,37 @@
 """FLOW001 — whole-repo secret flow into ocall / transition-log sinks.
 
-The taint pass (:mod:`repro.analysis.taint`) proves the property for a
-hand-maintained allowlist of boundary modules; FLOW001 supersedes that
-allowlist by computing the same per-function summaries over *every*
-function in the tree, resolving helper calls through the call graph's
-strong edges so a key laundered through helpers in any module is still
-caught — and the finding message carries the full call path.
+The nested layouts exist to keep key material inside the inner enclave;
+an ``ocall`` argument leaves enclave mode entirely, and a transition-log
+payload is folded into digests that ship in results documents.  FLOW001
+proves key material reaches neither: it computes per-function taint
+summaries over *every* function in the tree, resolving helper calls
+through the call graph's strong edges, so a key laundered through
+helpers in any module is caught — and the finding carries the full
+call path.
 
-Sources, sanitizers and sink shapes are identical to the taint pass
-(EGETKEY results, secret-named parameters/attributes; seal/encrypt
-declassify; ``*.ocall(…)`` arguments and transition-log payloads sink).
+Sources
+    ``get_key``/``egetkey``/``nereport_key`` results (EGETKEY), and
+    parameters or attributes named like key material (``key``,
+    ``*_key``, ``psk``, ``secret*``, ``priv*``); see
+    :mod:`repro.analysis.flow.config`.
+Sanitizers
+    ``seal``/``seal_record``/``encrypt``/``seal_out`` results are
+    ciphertext; comparisons declassify (a verdict is not the key).
+Sinks
+    The payload arguments of ``*.ocall(name, …)`` (the first argument
+    names the interface) and of ``*.log_transition(…)`` /
+    ``*.transitions.record(…)`` (the first argument is the event kind).
+    When the module embeds ``*_EDL`` constants that declare ``name`` in
+    an ``untrusted`` section, the finding names the declared parameter
+    the key lands in.  ``n_ocall`` lands in the outer enclave, a trusted
+    sibling, and is not a sink (EDL003 covers secret-named parameters
+    on that boundary).
+
 Cross-function flow facts: which parameters reach the return value,
 whether the return is tainted regardless of arguments, and which
 parameters reach a sink — the last carrying the *call chain*, so a
 caller several hops above the sink reports ``via helper → shipper →
-sink`` (deeper than the taint pass, whose summaries stop one hop above
-a sink).
+sink``.
 
 Summaries are solved by the dependency-driven worklist of
 :mod:`repro.analysis.flow.fixpoint`: every function is analysed once,
@@ -33,11 +49,13 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from repro.analysis.edl_lint import scan_edl_constants
 from repro.analysis.findings import Finding
+from repro.analysis.flow.config import (SANITIZER_CALLS, SOURCE_CALLS,
+                                        is_secret_name)
 from repro.analysis.flow.fixpoint import solve
 from repro.analysis.flow.graph import CallGraph, FunctionInfo
-from repro.analysis.taint import (_SANITIZER_CALLS, _SOURCE_CALLS,
-                                  _is_secret_name)
+from repro.analysis.pysource import Module
 
 RULE = "FLOW001"
 
@@ -52,6 +70,8 @@ class SinkFact:
     kind: str                    # "ocall" | "transition-log"
     via: tuple = ()              # (callee fid, param index) walked to it
     sink_line: int = 0           # line of the innermost sink
+    #: EDL-declared untrusted parameter the value lands in, if any.
+    param: str | None = None
 
 
 @dataclass
@@ -64,7 +84,8 @@ class Summary:
 
     def merge_key(self):
         return (frozenset(self.param_to_return), self.return_labels,
-                tuple(sorted((i, f.line, f.kind, f.via, f.sink_line)
+                tuple(sorted((i, f.line, f.kind, f.via, f.sink_line,
+                              f.param or "")
                              for i, f in self.param_to_sink.items())))
 
     def nontrivial(self) -> bool:
@@ -93,16 +114,48 @@ def _sink_calls(expr) -> tuple:
     return tuple(out)
 
 
+def _untrusted_ocalls(module: Module) -> dict:
+    """Interface name → EdlFunction for every ``untrusted`` declaration
+    in the module's embedded ``*_EDL`` constants.
+
+    Only the plain ``untrusted`` section is the host boundary;
+    ``nested_untrusted`` names land in the outer enclave via ``n_ocall``.
+    Parse errors are the EDL linter's EDL000 business, so they are
+    dropped here.
+    """
+    specs, _parse_errors = scan_edl_constants(module.tree, module.path)
+    table: dict = {}
+    for _const_name, spec, _offset in specs:
+        for func in spec.section("untrusted").values():
+            table.setdefault(func.name, func)
+    return table
+
+
+def _declared_params(node: ast.Call, declared) -> list:
+    """For each payload argument of an ocall, the EDL parameter it is
+    passed for (positionally or by keyword), or None."""
+    names = [pname for _ptype, pname in declared.params] \
+        if declared is not None else []
+    positional = node.args[1:]
+    params = [names[pos] if pos < len(names) else None
+              for pos in range(len(positional))]
+    params += [k.arg if k.arg in names else None for k in node.keywords]
+    return params
+
+
 class _FunctionTaint(ast.NodeVisitor):
     """One intraprocedural pass with call-graph-resolved summaries."""
 
     def __init__(self, info: FunctionInfo, graph: CallGraph,
-                 summaries: dict, sinks: dict) -> None:
+                 summaries: dict, sinks: dict, edl_tables: dict) -> None:
         self.info = info
         self.graph = graph
         self.summaries = summaries
         #: expr node -> its sink calls; shared by one run's analyses.
         self.sinks = sinks
+        #: module name -> its untrusted ocall declarations, filled
+        #: lazily at ocall sinks; shared by one run's analyses.
+        self.edl_tables = edl_tables
         #: fids whose summaries this analysis looked up (ordered set).
         self.reads: dict = {}
         self.env: dict = {}
@@ -110,7 +163,7 @@ class _FunctionTaint(ast.NodeVisitor):
         self.param_labels: dict = {}
         for name in self.param_names:
             labels = {f"param:{info.qualname}:{name}"}
-            if _is_secret_name(name):
+            if is_secret_name(name):
                 labels.add(f"secret-param:{name}")
             self.param_labels[name] = frozenset(labels)
         self.env.update(self.param_labels)
@@ -131,7 +184,7 @@ class _FunctionTaint(ast.NodeVisitor):
             return self.env.get(node.id, frozenset())
         if isinstance(node, ast.Attribute):
             labels = set(self.taint_of(node.value))
-            if _is_secret_name(node.attr):
+            if is_secret_name(node.attr):
                 labels.add(f"secret-attr:{node.attr}")
             return frozenset(labels)
         if isinstance(node, ast.Call):
@@ -151,9 +204,9 @@ class _FunctionTaint(ast.NodeVisitor):
         func = node.func
         bare = func.id if isinstance(func, ast.Name) else (
             func.attr if isinstance(func, ast.Attribute) else "")
-        if bare in _SANITIZER_CALLS:
+        if bare in SANITIZER_CALLS:
             return frozenset()
-        if bare in _SOURCE_CALLS:
+        if bare in SOURCE_CALLS:
             return frozenset({f"egetkey:{self.info.qualname}"})
         target, _weak = self.graph.resolve_call(self.info, node)
         summary = None
@@ -171,7 +224,7 @@ class _FunctionTaint(ast.NodeVisitor):
                 lifted = SinkFact(
                     line=node.lineno, kind=fact.kind,
                     via=((target, index),) + fact.via,
-                    sink_line=fact.sink_line)
+                    sink_line=fact.sink_line, param=fact.param)
                 arg_labels = self.taint_of(arg)
                 # Only *secret* labels indict this caller; a plain param
                 # label means a further caller's value reaches the sink,
@@ -258,15 +311,30 @@ class _FunctionTaint(ast.NodeVisitor):
         for node, kind in sinks:
             self._check_sink(node, kind)
 
+    def _declared(self, node: ast.Call):
+        """The EDL ``untrusted`` declaration an ocall's interface name
+        resolves to in this module, or None."""
+        first = node.args[0] if node.args else None
+        if not (isinstance(first, ast.Constant)
+                and isinstance(first.value, str)):
+            return None
+        module = self.info.module
+        table = self.edl_tables.get(module.name)
+        if table is None:
+            table = self.edl_tables[module.name] = _untrusted_ocalls(module)
+        return table.get(first.value)
+
     def _check_sink(self, node: ast.Call, kind: str) -> None:
         # First positional argument names the interface/event, not data.
         payload = node.args[1:] + [k.value for k in node.keywords]
-        fact = SinkFact(line=node.lineno, kind=kind,
-                        sink_line=node.lineno)
-        for arg in payload:
+        params = _declared_params(node, self._declared(node)) \
+            if kind == "ocall" else [None] * len(payload)
+        for arg, param in zip(payload, params):
             labels = self.taint_of(arg)
             if not labels:
                 continue
+            fact = SinkFact(line=node.lineno, kind=kind,
+                            sink_line=node.lineno, param=param)
             secret = {label for label in labels
                       if not label.startswith("param:")}
             if secret:
@@ -283,12 +351,13 @@ class _FunctionTaint(ast.NodeVisitor):
             (self.info.qualname,) + chain
             + (f"{fact.kind} sink at line {fact.sink_line}",))
         origin = ", ".join(sorted(labels))
-        message = (f"key material ({origin}) reaches a {fact.kind} "
-                   f"payload outside enclave trust: {path}")
-        if not self.info.module.suppressed(line, RULE):
-            self.findings.append(Finding(
-                path=self.info.module.path, line=line, rule=RULE,
-                message=message, symbol=self.info.qualname))
+        where = (f"the EDL-declared untrusted ocall parameter {fact.param!r}"
+                 if fact.param else f"a {fact.kind} payload")
+        self.findings.append(Finding(
+            path=self.info.module.path, line=line, rule=RULE,
+            message=(f"key material ({origin}) reaches {where} outside "
+                     f"enclave trust: {path}"),
+            symbol=self.info.qualname))
 
     def run(self) -> None:
         # Two rounds stabilise taint through loops / use-before-def.
@@ -306,9 +375,11 @@ def check_secret_flow(graph: CallGraph):
     """
     findings: dict = {}          # fid -> findings of its latest analysis
     sinks: dict = {}
+    edl_tables: dict = {}
 
     def analyse(info: FunctionInfo, summaries: dict):
-        analysis = _FunctionTaint(info, graph, summaries, sinks)
+        analysis = _FunctionTaint(info, graph, summaries, sinks,
+                                  edl_tables)
         analysis.run()
         findings[info.fid] = analysis.findings
         return analysis.summary, analysis.reads

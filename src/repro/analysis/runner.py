@@ -8,15 +8,15 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import edl_lint, simlint, taint
+from repro.analysis import edl_lint, flow, simlint
 from repro.analysis.findings import AnalysisError, Report
 
 #: CLI pass names → runner (the default set; heavier opt-in checks such
 #: as ``modelcheck`` are selected explicitly via ``--check``).
-PASSES = ("edl", "sim", "taint")
+PASSES = ("edl", "sim", "flow")
 
 #: Opt-in checks accepted alongside PASSES.
-EXTRA_CHECKS = ("modelcheck", "orderliness", "flow")
+EXTRA_CHECKS = ("modelcheck", "orderliness")
 
 
 def repo_root() -> Path:
@@ -40,14 +40,12 @@ def run_repo_analysis(root: Path | None = None,
             report.extend(edl_lint.lint_ports(ports, src))
         elif name == "sim":
             report.extend(simlint.lint_tree(package, src))
-        elif name == "taint":
-            report.extend(taint.analyze_tree(package, src))
+        elif name == "flow":
+            report.extend(flow.run_flow(root).report)
         elif name == "modelcheck":
             report.extend(_run_modelcheck_pass(modelcheck_scope))
         elif name == "orderliness":
             report.extend(_run_orderliness_pass())
-        elif name == "flow":
-            report.extend(_run_flow_pass(root))
         else:
             raise AnalysisError(
                 f"unknown pass {name!r}; choose from "
@@ -75,11 +73,3 @@ def _run_orderliness_pass() -> Report:
     from repro.analysis import orderliness
 
     return orderliness.run_orderliness()
-
-
-def _run_flow_pass(root: Path) -> Report:
-    # Lazy: the flow engine parses and summarizes the whole tree to
-    # fixpoint — opt-in like the other heavy checks.
-    from repro.analysis import flow
-
-    return flow.run_flow(root).report

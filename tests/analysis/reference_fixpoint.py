@@ -25,7 +25,7 @@ def reference_secret_flow(graph):
         changed = False
         findings: list = []
         for fid, info in graph.functions.items():
-            analysis = _FunctionTaint(info, graph, summaries, {})
+            analysis = _FunctionTaint(info, graph, summaries, {}, {})
             analysis.run()
             if summaries[fid].merge_key() != analysis.summary.merge_key():
                 changed = True

@@ -32,8 +32,8 @@ def dirty_repo(tmp_path):
 
 
     def export(ctx, session_key):
-        ctx.ocall("stash", session_key)       # declared -> TAINT002
-        ctx.ocall("debug_dump", session_key)  # undeclared -> TAINT001
+        ctx.ocall("stash", session_key)       # declared -> names it
+        ctx.ocall("debug_dump", session_key)  # undeclared -> generic
     '''))
     return tmp_path
 
@@ -48,7 +48,13 @@ class TestExitCodes:
         assert main(["--root", str(dirty_repo)]) == 1
         out = capsys.readouterr().out
         assert "SIM002" in out and "EDL003" in out
-        assert "TAINT001" in out and "TAINT002" in out
+        leaks = [line for line in out.splitlines() if "FLOW001" in line]
+        assert len(leaks) == 2
+        assert any("leaky.py:10:" in line
+                   and "EDL-declared untrusted ocall parameter "
+                       "'session_key'" in line for line in leaks)
+        assert any("leaky.py:11:" in line and "a ocall payload" in line
+                   for line in leaks)
 
     def test_unknown_pass_is_usage_error(self, capsys):
         assert main(["bogus"]) == 2
@@ -74,7 +80,7 @@ class TestPassSelection:
         assert payload["ok"] is False
         assert payload["new"]
         rules = {f["rule"] for f in payload["findings"]}
-        assert {"SIM002", "TAINT001", "TAINT002"} <= rules
+        assert {"SIM002", "EDL003", "FLOW001"} <= rules
 
 
 class TestOnly:
@@ -178,7 +184,7 @@ class TestBaseline:
 class TestReportOrdering:
     FINDINGS = [
         Finding("z.py", 9, "SIM002", "m1"),
-        Finding("a.py", 5, "TAINT001", "m2"),
+        Finding("a.py", 5, "SIM005", "m2"),
         Finding("a.py", 2, "FLOW001", "m3"),
         Finding("a.py", 1, "SIM002", "m0"),
         Finding("a.py", 2, "FLOW001", "m3"),  # duplicate collapses
@@ -193,7 +199,7 @@ class TestReportOrdering:
             ("FLOW001", "a.py", 2),
             ("SIM002", "a.py", 1),
             ("SIM002", "z.py", 9),
-            ("TAINT001", "a.py", 5),
+            ("SIM005", "a.py", 5),
         ]
 
     def test_render_json_is_byte_deterministic(self):

@@ -7,11 +7,14 @@ import pytest
 
 from repro.analysis.cli import main
 from repro.analysis.findings import AnalysisError
-from repro.analysis.flow import MUTATIONS, run_flow, run_flow_mutations
+from repro.analysis.flow import (MUTATIONS, analyze_graph, run_flow,
+                                 run_flow_mutations)
 from repro.analysis.flow.charges import check_charge_coverage
 from repro.analysis.flow.config import DEFAULT_CONFIG
+from repro.analysis.flow.engine import apply_suppressions
 from repro.analysis.flow.fixpoint import solve
 from repro.analysis.flow.graph import build_graph
+from repro.analysis.flow.lifecycle import check_lifecycle_escape
 from repro.analysis.flow.secret import check_secret_flow
 from repro.analysis.pysource import load_module
 from repro.analysis.runner import repo_root
@@ -38,11 +41,11 @@ class TestCallGraph:
         pinned = ("modules", "functions", "call_edges", "weak_edges",
                   "secret_summaries", "always_charging")
         assert {key: repo_result.stats[key] for key in pinned} == {
-            "modules": 146,
-            "functions": 1047,
-            "call_edges": 963,
-            "weak_edges": 2803,
-            "secret_summaries": 458,
+            "modules": 145,
+            "functions": 1025,
+            "call_edges": 926,
+            "weak_edges": 2754,
+            "secret_summaries": 454,
             "always_charging": 152,
         }
 
@@ -270,7 +273,7 @@ _LEAK = """
 class TestSuppression:
     def _findings(self, tmp_path, suffix):
         graph = _graph_of(tmp_path, _LEAK.format(suffix=suffix))
-        findings, _ = check_secret_flow(graph)
+        findings, _ = apply_suppressions(graph, check_secret_flow(graph)[0])
         return findings
 
     def test_unsuppressed_leak_is_reported_with_chain(self, tmp_path):
@@ -295,6 +298,77 @@ class TestSuppression:
         from repro.analysis.pysource import parse_suppressions
         table = parse_suppressions("x = 1  # flow: disable=all\n")
         assert table[1] == frozenset({"flow:all"})
+
+    def test_suppressed_findings_are_counted(self, tmp_path):
+        """Like simlint's, flow's inline disables show up in the
+        report's suppressed count, so the repo gate can cap them."""
+        graph = _graph_of(tmp_path, _LEAK.format(
+            suffix="  # flow: disable=FLOW001"))
+        report = analyze_graph(graph).report
+        assert [f for f in report.findings if f.rule == "FLOW001"] == []
+        assert report.suppressed == 1
+
+    def test_real_tree_counts_the_ewb_disable(self, repo_result):
+        """eviction.py's EWB transition-log line is the one sanctioned
+        flow disable in the tree."""
+        assert repo_result.report.suppressed == 1
+
+
+def _lifecycle_findings(tmp_path, source):
+    """FLOW004 over one non-allowlisted module, ``pkg.victim``."""
+    file = tmp_path / "pkg" / "victim.py"
+    file.parent.mkdir(parents=True, exist_ok=True)
+    file.write_text(textwrap.dedent(source))
+    graph = build_graph([load_module(file, tmp_path)])
+    return check_lifecycle_escape(graph, DEFAULT_CONFIG)
+
+
+class TestLifecycleShapes:
+    """FLOW004 sees every assignment shape wherever it sits, not just
+    plain and augmented assignments inside function bodies."""
+
+    @pytest.mark.parametrize("source, line, symbol", [
+        ("tcs = make_tcs()\ntcs.state = 1\n", 2, "<module>"),
+        ("class Patch:\n    tcs.aex_count = 0\n\n"
+         "    def method(self):\n        return 1\n", 2, "Patch"),
+        ("def reset(t):\n    t.state: int = 0\n", 2, "reset"),
+    ], ids=["module-level", "class-body", "annotated-in-function"])
+    def test_assignment_shape_is_reported(self, tmp_path, source, line,
+                                          symbol):
+        findings = _lifecycle_findings(tmp_path, source)
+        assert [(f.rule, f.line, f.symbol) for f in findings] == [
+            ("FLOW004", line, symbol)]
+        assert f"{symbol} → ." in findings[0].message
+
+    def test_assignments_inside_nested_blocks(self, tmp_path):
+        findings = _lifecycle_findings(tmp_path, """
+            def churn(tcs, items):
+                if items:
+                    tcs.state = 1
+                else:
+                    for item in items:
+                        tcs.aex_count += 1
+                while items:
+                    with lock:
+                        tcs.saved_context = None
+                try:
+                    pass
+                except Fault:
+                    tcs.state = 2
+                finally:
+                    tcs.state = 3
+                lambda: tcs.state
+        """)
+        assert [f.line for f in findings] == [4, 7, 10, 14, 16]
+
+    def test_function_bodies_are_not_scanned_twice(self, tmp_path):
+        findings = _lifecycle_findings(tmp_path, """
+            class Driver:
+                def park(self, tcs):
+                    tcs.state = 2
+        """)
+        assert [(f.line, f.symbol) for f in findings] == [
+            (4, "Driver.park")]
 
 
 class TestChargeCoverage:

@@ -1,10 +1,16 @@
-"""Simulation-integrity lint: synthetic violations for SIM001–SIM008,
-suppression syntax, allowlists, and the JSON report shape."""
+"""Simulation-integrity lint: synthetic violations for SIM001–SIM006
+and SIM008, suppression syntax, allowlists, and the JSON report shape.
+The retired SIM007's lifecycle cases run against FLOW004 here."""
 
 import json
 import textwrap
 
 from repro.analysis.findings import Report
+from repro.analysis.flow.config import DEFAULT_CONFIG as FLOW_CONFIG
+from repro.analysis.flow.config import FlowConfig
+from repro.analysis.flow.engine import apply_suppressions
+from repro.analysis.flow.graph import build_graph
+from repro.analysis.flow.lifecycle import check_lifecycle_escape
 from repro.analysis.pysource import Module, load_module, parse_suppressions
 from repro.analysis.simlint import (DEFAULT_CONFIG, SimlintConfig,
                                     lint_module, lint_tree)
@@ -301,9 +307,22 @@ class TestSim006:
         assert result.suppressed == 1
 
 
+def _lifecycle(tmp_path, source, name="pkg/victim.py",
+               config=FLOW_CONFIG):
+    """Lifecycle cases: simlint no longer owns them (SIM007 folded into
+    the flow engine), so it stays silent; returns FLOW004's
+    ``(findings, suppressed)``."""
+    assert _lint(tmp_path, source, name=name).findings == []
+    module = load_module(tmp_path / name, tmp_path)
+    graph = build_graph([module])
+    return apply_suppressions(graph, check_lifecycle_escape(graph, config))
+
+
 class TestSim007:
+    """SIM007's cases, now checked by FLOW004."""
+
     def test_lifecycle_assignments_flagged(self, tmp_path):
-        result = _lint(tmp_path, """
+        findings, _ = _lifecycle(tmp_path, """
         from repro.sgx.constants import TCS_ACTIVE
 
         def shortcut(machine, tcs):
@@ -311,19 +330,21 @@ class TestSim007:
             tcs.saved_context = None
             tcs.aex_count += 1
         """)
-        assert _rules(result) == ["SIM007"] * 3
-        assert all("transition log" in f.message
-                   for f in result.findings)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("FLOW004", 5), ("FLOW004", 6), ("FLOW004", 7)]
+        assert all("outside the ISA allowlist: shortcut → ." in f.message
+                   for f in findings)
 
     def test_annotated_assignment_flagged(self, tmp_path):
-        result = _lint(tmp_path, """
+        findings, _ = _lifecycle(tmp_path, """
         def reset(tcs):
             tcs.state: int = 0
         """)
-        assert _rules(result) == ["SIM007"]
+        assert [(f.rule, f.symbol) for f in findings] == [
+            ("FLOW004", "reset")]
 
     def test_reads_and_unrelated_attributes_pass(self, tmp_path):
-        result = _lint(tmp_path, """
+        findings, _ = _lifecycle(tmp_path, """
         def observe(tcs, job):
             state = tcs.state
             job.status = "done"
@@ -331,30 +352,30 @@ class TestSim007:
             count += 1
             return state, count
         """)
-        assert result.findings == []
+        assert findings == []
 
     def test_isa_leaves_allowlisted_by_default(self, tmp_path):
-        result = _lint(tmp_path, """
+        findings, _ = _lifecycle(tmp_path, """
         def eenter(machine, tcs):
             tcs.state = 1
         """, name="repro/sgx/isa.py")
-        assert result.findings == []
+        assert findings == []
 
     def test_custom_allowlist(self, tmp_path):
-        config = SimlintConfig(sim007_allowed=frozenset({"pkg.victim"}))
-        result = _lint(tmp_path, """
+        config = FlowConfig(lifecycle_allowed=frozenset({"pkg.victim"}))
+        findings, _ = _lifecycle(tmp_path, """
         def restore(tcs, snapshot):
             tcs.saved_context = snapshot
         """, config=config)
-        assert result.findings == []
+        assert findings == []
 
     def test_suppression_applies(self, tmp_path):
-        result = _lint(tmp_path, """
+        findings, suppressed = _lifecycle(tmp_path, """
         def patch(tcs):
-            tcs.aex_count = 0  # simlint: disable=SIM007
+            tcs.aex_count = 0  # flow: disable=FLOW004
         """)
-        assert result.findings == []
-        assert result.suppressed == 1
+        assert findings == []
+        assert suppressed == 1
 
 
 class TestSim008:

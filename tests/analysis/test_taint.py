@@ -1,17 +1,23 @@
-"""Cross-boundary taint check: key material reaching an ocall is
-reported; sealed (encrypted) data and trusted-boundary calls are not."""
+"""Secret-flow taint cases for FLOW001: key material reaching an ocall
+or a transition-log payload is reported; sealed (encrypted) data and
+trusted-boundary calls are not.  Each case analyses one synthetic
+module through the flow engine's call graph."""
 
 import textwrap
 
+from repro.analysis.flow.engine import apply_suppressions
+from repro.analysis.flow.graph import build_graph
+from repro.analysis.flow.secret import check_secret_flow
 from repro.analysis.pysource import load_module
-from repro.analysis.taint import analyze_module, analyze_ports
 
 
 def _analyze(tmp_path, source):
     file = tmp_path / "ports" / "svc.py"
     file.parent.mkdir(exist_ok=True)
     file.write_text(textwrap.dedent(source))
-    return analyze_module(load_module(file, tmp_path))
+    graph = build_graph([load_module(file, tmp_path)])
+    findings, _ = apply_suppressions(graph, check_secret_flow(graph)[0])
+    return findings
 
 
 class TestDirectLeaks:
@@ -21,9 +27,10 @@ class TestDirectLeaks:
             seal_key = ctx.get_key("seal")
             ctx.ocall("store_blob", seal_key)
         """)
-        assert [f.rule for f in findings] == ["TAINT001"]
+        assert [f.rule for f in findings] == ["FLOW001"]
         assert findings[0].symbol == "handler"
         assert "egetkey" in findings[0].message
+        assert "a ocall payload" in findings[0].message
         assert findings[0].line == 4
 
     def test_secret_named_parameter_to_ocall(self, tmp_path):
@@ -31,14 +38,16 @@ class TestDirectLeaks:
         def export(ctx, session_key):
             ctx.ocall("log_line", session_key.hex())
         """)
-        assert [f.rule for f in findings] == ["TAINT001"]
+        assert [f.rule for f in findings] == ["FLOW001"]
+        assert "secret-param:session_key" in findings[0].message
 
     def test_secret_attribute_to_ocall(self, tmp_path):
         findings = _analyze(tmp_path, """
         def export(ctx, config):
             ctx.ocall("push", config.key)
         """)
-        assert [f.rule for f in findings] == ["TAINT001"]
+        assert [f.rule for f in findings] == ["FLOW001"]
+        assert "secret-attr:key" in findings[0].message
 
     def test_derived_value_still_tainted(self, tmp_path):
         findings = _analyze(tmp_path, """
@@ -47,7 +56,8 @@ class TestDirectLeaks:
             blob = b"hdr:" + key
             ctx.ocall("send", blob)
         """)
-        assert [f.rule for f in findings] == ["TAINT001"]
+        assert [f.rule for f in findings] == ["FLOW001"]
+        assert findings[0].line == 5
 
 
 class TestNonLeaks:
@@ -92,8 +102,10 @@ class TestInterprocedural:
             key = ctx.get_key("seal")
             _ship(ctx, key)
         """)
-        assert findings and all(f.rule == "TAINT001" for f in findings)
-        assert any(f.symbol == "export" for f in findings)
+        assert [(f.rule, f.symbol, f.line) for f in findings] == [
+            ("FLOW001", "export", 7)]
+        assert "export → _ship → ocall sink at line 3" \
+            in findings[0].message
 
     def test_tainted_return_through_helper(self, tmp_path):
         findings = _analyze(tmp_path, """
@@ -104,7 +116,7 @@ class TestInterprocedural:
             material = _fetch(ctx)
             ctx.ocall("send", material)
         """)
-        assert [f.rule for f in findings] == ["TAINT001"]
+        assert [f.rule for f in findings] == ["FLOW001"]
         assert findings[0].symbol == "export"
 
     def test_sanitizing_helper_clears_taint(self, tmp_path):
@@ -126,7 +138,7 @@ class TestTransitionLogSink:
             seal_key = ctx.get_key("seal")
             machine.log_transition("EENTER", 0, eid=1, key=seal_key)
         """)
-        assert [f.rule for f in findings] == ["TAINT003"]
+        assert [f.rule for f in findings] == ["FLOW001"]
         assert "transition-log" in findings[0].message
 
     def test_secret_parameter_in_record_payload(self, tmp_path):
@@ -134,7 +146,8 @@ class TestTransitionLogSink:
         def stash(machine, session_key):
             machine.transitions.record("X", 0, 1, 0, 0, session_key)
         """)
-        assert [f.rule for f in findings] == ["TAINT003"]
+        assert [f.rule for f in findings] == ["FLOW001"]
+        assert "transition-log" in findings[0].message
 
     def test_event_kind_argument_is_not_payload(self, tmp_path):
         """The first positional argument (the event kind) is not part
@@ -161,26 +174,90 @@ class TestTransitionLogSink:
         """)
         assert findings == []
 
-    def test_real_isa_leaves_are_clean(self):
-        from repro.analysis.runner import repo_root
-        from repro.analysis.taint import analyze_tree
-        root = repo_root()
-        report = analyze_tree(root / "src" / "repro", root / "src")
-        assert [f for f in report.findings
-                if f.rule == "TAINT003"] == []
+    def test_real_isa_leaves_are_clean(self, default_report):
+        isa = ("repro/sgx/isa.py", "repro/core/nested_isa.py")
+        assert [f for f in default_report.findings
+                if f.rule == "FLOW001" and f.path in isa] == []
 
 
 class TestSuppressionAndSweep:
     def test_inline_suppression(self, tmp_path):
         findings = _analyze(tmp_path, """
         def export(ctx, session_key):
-            ctx.ocall("dbg", session_key)  # simlint: disable=TAINT001
+            ctx.ocall("dbg", session_key)  # flow: disable=FLOW001
         """)
         assert findings == []
 
-    def test_real_ports_are_clean(self):
-        from repro.analysis.runner import repo_root
-        root = repo_root()
-        report = analyze_ports(root / "src" / "repro" / "apps" / "ports",
-                               root / "src")
-        assert report.findings == []
+    def test_real_ports_are_clean(self, default_report):
+        assert [f for f in default_report.findings
+                if f.path.startswith("repro/apps/ports/")] == []
+
+
+_DECLARED = '''
+SVC_EDL = """
+enclave {
+    untrusted { void stash(bytes session_blob, int flags); };
+};
+"""
+
+'''
+
+
+class TestEdlDeclaredParameter:
+    """An ocall whose interface name an ``untrusted`` EDL section
+    declares reports the declared parameter the key lands in."""
+
+    def test_positional_argument_names_its_parameter(self, tmp_path):
+        findings = _analyze(tmp_path, _DECLARED + """
+def export(ctx, session_key):
+    ctx.ocall("stash", session_key, 0)
+""")
+        assert [f.rule for f in findings] == ["FLOW001"]
+        assert ("reaches the EDL-declared untrusted ocall parameter "
+                "'session_blob' outside enclave trust: export → ocall "
+                "sink at line 10") in findings[0].message
+
+    def test_keyword_argument_names_its_parameter(self, tmp_path):
+        findings = _analyze(tmp_path, _DECLARED + """
+def export(ctx, session_key):
+    ctx.ocall("stash", flags=session_key)
+""")
+        assert "ocall parameter 'flags'" in findings[0].message
+
+    def test_parameter_survives_helper_lifting(self, tmp_path):
+        findings = _analyze(tmp_path, _DECLARED + """
+def _ship(ctx, blob):
+    ctx.ocall("stash", blob)
+
+
+def export(ctx):
+    _ship(ctx, ctx.get_key("seal"))
+""")
+        assert [(f.symbol, f.line) for f in findings] == [("export", 14)]
+        assert ("ocall parameter 'session_blob' outside enclave trust: "
+                "export → _ship → ocall sink at line 10") \
+            in findings[0].message
+
+    def test_undeclared_ocall_keeps_the_generic_message(self, tmp_path):
+        findings = _analyze(tmp_path, _DECLARED + """
+def export(ctx, session_key):
+    ctx.ocall("audit", session_key)
+""")
+        assert [f.message for f in findings] == [
+            "key material (secret-param:session_key) reaches a ocall "
+            "payload outside enclave trust: export → ocall sink at line 10"]
+
+    def test_nested_untrusted_section_is_not_the_host_boundary(
+            self, tmp_path):
+        findings = _analyze(tmp_path, '''
+SVC_EDL = """
+enclave {
+    nested_untrusted { void stash(bytes session_blob); };
+};
+"""
+
+
+def export(ctx, session_key):
+    ctx.ocall("stash", session_key)
+''')
+        assert "a ocall payload" in findings[0].message

@@ -69,7 +69,7 @@ class TestTier1Gate:
     def test_job_set_is_pinned(self):
         assert set(_load("ci.yml")["jobs"]) == \
             {"tests", "ruff", "analysis", "modelcheck", "chaos",
-             "orderliness", "bench-smoke", "flow", "host",
+             "orderliness", "bench-smoke", "host",
              "quick-suite", "difffuzz"}
 
     def test_python_matrix_is_39_and_312(self):
@@ -156,12 +156,17 @@ class TestTier1Gate:
             for step in smoke["steps"]
             for run in [step.get("run", "")])
 
-    def test_flow_job_runs_the_dataflow_engine(self):
-        flow = _load("ci.yml")["jobs"]["flow"]
-        assert flow["env"]["PYTHONPATH"] == "src"
+    def test_analysis_job_runs_the_flow_engine_by_default(self):
+        """The dataflow engine is a default pass, so the analysis job's
+        plain invocation (no pass list, no --only) runs it."""
+        from repro.analysis.runner import PASSES
+        assert "flow" in PASSES
+        analysis = _load("ci.yml")["jobs"]["analysis"]
+        assert analysis["env"]["PYTHONPATH"] == "src"
         assert any(
-            run.strip() == "python -m repro.analysis --only flow"
-            for step in flow["steps"]
+            run.strip() == "python -m repro.analysis --baseline "
+                           "analysis-baseline.json --sarif analysis.sarif"
+            for step in analysis["steps"]
             for run in [step.get("run", "")])
 
     def test_difffuzz_job_diffs_240_schedules_with_faults(self):
